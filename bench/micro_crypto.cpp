@@ -5,11 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <map>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "bigint/montgomery.hpp"
 #include "bigint/prime.hpp"
@@ -108,6 +110,7 @@ const he::Keypair& keypair(std::size_t bits) {
 }
 
 void BM_PaillierEncrypt(benchmark::State& state) {
+  // kp.pub comes from the private key, so this is the key holder's CRT path.
   const auto bits = static_cast<std::size_t>(state.range(0));
   const he::Keypair& kp = keypair(bits);
   bigint::Xoshiro256ss rng(5);
@@ -223,7 +226,10 @@ void print_ops_table() {
   const he::Ciphertext ct_b = kp.pub.encrypt(BigUint{654321}, rng);
   const BigUint scalar{0x1234567890abcdefULL};
 
-  // A key copy with the fixed-base noise table, for the table-vs-plain rows.
+  // The three noise paths: the public key alone (what a party without the
+  // private key runs), the key holder's CRT path (kp.pub carries the
+  // factorization), and a copy with the fixed-base noise table.
+  const he::PublicKey pub_only(kp.pub.n());
   he::PublicKey pub_fb = kp.pub;
   pub_fb.precompute_noise(rng);
 
@@ -234,9 +240,11 @@ void print_ops_table() {
   const Row rows[] = {
       {"pow (2048-bit mod, 2048-bit exp)",
        time_op([&] { benchmark::DoNotOptimize(ctx.pow(base, exp)); })},
-      {"paillier encrypt",
+      {"encrypt (public key only)",
+       time_op([&] { benchmark::DoNotOptimize(pub_only.encrypt(BigUint{1}, rng)); })},
+      {"encrypt (key holder, CRT)",
        time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); })},
-      {"paillier encrypt (fixed-base)",
+      {"encrypt (fixed-base)",
        time_op([&] { benchmark::DoNotOptimize(pub_fb.encrypt(BigUint{1}, rng)); })},
       {"paillier decrypt (CRT)",
        time_op([&] { benchmark::DoNotOptimize(kp.prv.decrypt(ct_a)); })},
@@ -302,30 +310,58 @@ void print_batch_table() {
 /// The telemetry contract on the crypto hot path: the per-op counters and
 /// histograms in paillier.cpp must cost <2% on a 2048-bit encrypt whether
 /// collection is off (the default, one relaxed load) or on (sharded atomic
-/// adds). Prints ms/op with telemetry off and on plus the relative overhead.
+/// adds). A single off/on A/B is dominated by host drift, so this runs
+/// kPairs interleaved off/on trials (the order flips every pair) on the
+/// public-key-only path and prints the median on/off overhead with its
+/// p10/p90 across pairs.
 void print_telemetry_overhead_table() {
   constexpr std::size_t kKeyBits = 2048;
-  const he::Keypair& kp = keypair(kKeyBits);
+  constexpr std::size_t kPairs = 21;
+  constexpr int kEncryptsPerTrial = 6;
+  const he::PublicKey pub(keypair(kKeyBits).pub.n());
   bigint::Xoshiro256ss rng(45);
 
+  using Clock = std::chrono::steady_clock;
+  const auto trial = [&](bool on) {
+    telemetry::set_enabled(on);
+    const auto t0 = Clock::now();
+    for (int i = 0; i < kEncryptsPerTrial; ++i) {
+      benchmark::DoNotOptimize(pub.encrypt(BigUint{1}, rng));
+    }
+    return std::chrono::duration<double>(Clock::now() - t0).count() / kEncryptsPerTrial;
+  };
+
   const bool was_enabled = telemetry::enabled();
-  telemetry::set_enabled(false);
-  const double off_sec =
-      time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); });
-  telemetry::set_enabled(true);
-  const double on_sec =
-      time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); });
+  (void)trial(false);  // warm-up
+  std::vector<double> off(kPairs), on(kPairs), overhead(kPairs);
+  for (std::size_t i = 0; i < kPairs; ++i) {
+    if (i % 2 == 0) {
+      off[i] = trial(false);
+      on[i] = trial(true);
+    } else {
+      on[i] = trial(true);
+      off[i] = trial(false);
+    }
+    overhead[i] = on[i] / off[i] - 1.0;
+  }
   telemetry::set_enabled(was_enabled);
 
-  std::printf("== telemetry overhead on paillier encrypt (key_bits = %zu) ==\n",
-              kKeyBits);
-  std::printf("%-36s %12s %12s\n", "mode", "ms/op", "ops/sec");
-  std::printf("%-36s %12.3f %12.1f\n", "encrypt, telemetry off", off_sec * 1e3,
-              1.0 / off_sec);
-  std::printf("%-36s %12.3f %12.1f\n", "encrypt, telemetry on", on_sec * 1e3,
-              1.0 / on_sec);
-  std::printf("%-36s %11.2f%%\n", "overhead (on vs off)",
-              (on_sec / off_sec - 1.0) * 100.0);
+  const auto quantile = [](std::vector<double> v, double q) {
+    std::sort(v.begin(), v.end());
+    return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1) + 0.5)];
+  };
+  std::printf(
+      "== telemetry overhead on paillier encrypt (key_bits = %zu, public key only, "
+      "%zu interleaved off/on pairs) ==\n",
+      kKeyBits, kPairs);
+  std::printf("%-36s %12s %12s %12s\n", "mode", "p10", "median", "p90");
+  std::printf("%-36s %12.3f %12.3f %12.3f\n", "encrypt ms/op, telemetry off",
+              quantile(off, 0.1) * 1e3, quantile(off, 0.5) * 1e3, quantile(off, 0.9) * 1e3);
+  std::printf("%-36s %12.3f %12.3f %12.3f\n", "encrypt ms/op, telemetry on",
+              quantile(on, 0.1) * 1e3, quantile(on, 0.5) * 1e3, quantile(on, 0.9) * 1e3);
+  std::printf("%-36s %11.2f%% %11.2f%% %11.2f%%\n", "overhead (on vs off, per pair)",
+              quantile(overhead, 0.1) * 100.0, quantile(overhead, 0.5) * 100.0,
+              quantile(overhead, 0.9) * 100.0);
   std::printf("\n");
 }
 

@@ -40,10 +40,12 @@ struct SecureConfig {
   std::size_t encrypt_threads = 1;
   /// Build the session key's fixed-base noise table
   /// (he::PublicKey::precompute_noise) right after keygen, making every
-  /// encryption in the session ~10x cheaper at 2048-bit keys. Off by
-  /// default because it also changes the noise model — uniform r^n becomes
-  /// DJN-style (h^n)^x, a statistical→computational randomization trade —
-  /// and that should be an explicit opt-in, not a silent default.
+  /// encryption in the session ~3x cheaper at 2048-bit keys than the
+  /// default key-holder CRT path (~10x cheaper than a public key alone).
+  /// Off by default because it also changes the noise model — uniform r^n
+  /// (which the CRT path keeps, byte for byte) becomes DJN-style (h^n)^x, a
+  /// statistical→computational randomization trade — and that should be an
+  /// explicit opt-in, not a silent default.
   /// Deterministic given the session RNG; thread-count invariance holds
   /// either way.
   bool use_fixed_base = false;

@@ -162,6 +162,9 @@ KeyMaterial parse_key_material(const Frame& f) {
     if (!(m.prv.public_key() == m.pub)) {
       throw std::invalid_argument("key material: p*q does not match n");
     }
+    // Same n, but the private key's copy carries the factor context, so
+    // every encryption the receiver makes takes the CRT noise path.
+    m.pub = m.prv.public_key();
     return m;
   });
 }

@@ -35,7 +35,9 @@ struct ServerHello {
 };
 
 /// The agent's key dispatch (paper §5.1: the agent generates the session
-/// keypair and distributes it to the cohort).
+/// keypair and distributes it to the cohort). parse_key_material returns
+/// `pub` as prv.public_key(), so it carries the factor context and the
+/// receiver encrypts on the CRT noise path.
 struct KeyMaterial {
   he::PublicKey pub;
   he::PrivateKey prv;

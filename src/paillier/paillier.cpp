@@ -8,24 +8,61 @@
 
 namespace dubhe::he {
 
+struct FactorContext {
+  FactorContext(const BigUint& p_in, const BigUint& q_in)
+      : p(p_in),
+        q(q_in),
+        p_sq(p * p),
+        q_sq(q * q),
+        mont_p(p),
+        mont_q(q),
+        mont_p2(p_sq),
+        mont_q2(q_sq),
+        e_p(q % (p - BigUint{1})),
+        e_q(p % (q - BigUint{1})),
+        q_sq_inv_p_sq(BigUint::mod_inverse(q_sq % p_sq, p_sq)) {}
+
+  /// r^n mod n^2 from rp = r mod p and rq = r mod q (both non-zero).
+  [[nodiscard]] BigUint noise(const BigUint& rp, const BigUint& rq) const {
+    const BigUint xp = mont_p2.pow(mont_p.pow(rp, e_p), p);
+    const BigUint xq = mont_q2.pow(mont_q.pow(rq, e_q), q);
+    // Garner: x = xq + q^2 * ((xp - xq) * (q^2)^{-1} mod p^2), x < n^2.
+    const BigUint xq_p = xq % p_sq;
+    const BigUint diff = xp >= xq_p ? xp - xq_p : p_sq - (xq_p - xp);
+    return xq + q_sq * diff.mul_mod(q_sq_inv_p_sq, p_sq);
+  }
+
+  BigUint p, q, p_sq, q_sq;
+  bigint::Montgomery mont_p, mont_q, mont_p2, mont_q2;
+  BigUint e_p, e_q;       // q mod (p-1), p mod (q-1): r^n mod p = r^e_p mod p
+  BigUint q_sq_inv_p_sq;  // (q^2)^{-1} mod p^2
+};
+
 namespace {
 
-/// Crypto-op telemetry (counts + latency histograms, fixed-base vs plain
-/// noise path). Out-of-band: no RNG or ciphertext state is touched, so
-/// instrumented and uninstrumented runs are byte-identical.
-telemetry::Histogram& encrypt_hist(bool fixed_base) {
+/// Which noise path an encryption took; a label of the encrypt metrics.
+enum class NoisePath { kFixedBase, kCrt, kPlain };
+
+/// Crypto-op telemetry (counts + latency histograms per noise path).
+/// Out-of-band: no RNG or ciphertext state is touched, so instrumented and
+/// uninstrumented runs are byte-identical.
+telemetry::Histogram& encrypt_hist(NoisePath path) {
   static telemetry::Histogram& fb = telemetry::histogram(
       "dubhe_paillier_encrypt_seconds{mode=\"fixed_base\"}");
+  static telemetry::Histogram& crt =
+      telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"crt\"}");
   static telemetry::Histogram& plain =
       telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
-  return fixed_base ? fb : plain;
+  return path == NoisePath::kFixedBase ? fb : path == NoisePath::kCrt ? crt : plain;
 }
-telemetry::Counter& encrypt_count(bool fixed_base) {
+telemetry::Counter& encrypt_count(NoisePath path) {
   static telemetry::Counter& fb =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"fixed_base\"}");
+  static telemetry::Counter& crt =
+      telemetry::counter("dubhe_paillier_encrypt_total{mode=\"crt\"}");
   static telemetry::Counter& plain =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
-  return fixed_base ? fb : plain;
+  return path == NoisePath::kFixedBase ? fb : path == NoisePath::kCrt ? crt : plain;
 }
 
 }  // namespace
@@ -48,9 +85,11 @@ Ciphertext PublicKey::encrypt_deterministic(const BigUint& m) const {
 }
 
 Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
-  const bool fixed_base = noise_table_ != nullptr;
-  encrypt_count(fixed_base).inc();
-  telemetry::ScopedTimer timer(encrypt_hist(fixed_base));
+  const NoisePath path = noise_table_ != nullptr ? NoisePath::kFixedBase
+                         : factors_ != nullptr  ? NoisePath::kCrt
+                                                : NoisePath::kPlain;
+  encrypt_count(path).inc();
+  telemetry::ScopedTimer timer(encrypt_hist(path));
   Ciphertext gm = encrypt_deterministic(m);
   return rerandomize(gm, rng);
 }
@@ -64,6 +103,15 @@ Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rn
       x = bigint::random_bits(rng, noise_bits_);
     } while (x.is_zero());
     rn = noise_table_->pow(x);
+  } else if (factors_ != nullptr) {
+    // Key-holder path: the public path's draws and acceptance, r^n by CRT.
+    BigUint rp, rq;
+    do {
+      const BigUint r = bigint::random_below(rng, n_);
+      rp = r % factors_->p;
+      rq = r % factors_->q;
+    } while (rp.is_zero() || rq.is_zero());
+    rn = factors_->noise(rp, rq);
   } else {
     BigUint r;
     do {
@@ -151,16 +199,14 @@ PrivateKey::PrivateKey(const BigUint& p, const BigUint& q) : p_(p), q_(q) {
   }
   const BigUint n = p * q;
   pub_ = PublicKey(n);
-  p_sq_ = p * p;
-  q_sq_ = q * q;
-  mont_p2_ = std::make_shared<bigint::Montgomery>(p_sq_);
-  mont_q2_ = std::make_shared<bigint::Montgomery>(q_sq_);
+  pub_.factors_ = std::make_shared<const FactorContext>(p, q);
+  const FactorContext& f = *pub_.factors_;
 
   const BigUint p1 = p - BigUint{1}, q1 = q - BigUint{1};
   // CRT helpers: hp = L_p(g^{p-1} mod p^2)^{-1} mod p, likewise hq.
   // With g = n+1: g^{p-1} mod p^2 = 1 + (p-1)*n mod p^2.
-  const BigUint gp = (BigUint{1} + p1 * n) % p_sq_;
-  const BigUint gq = (BigUint{1} + q1 * n) % q_sq_;
+  const BigUint gp = (BigUint{1} + p1 * n) % f.p_sq;
+  const BigUint gq = (BigUint{1} + q1 * n) % f.q_sq;
   hp_ = BigUint::mod_inverse(l_function(gp, p) % p, p);
   hq_ = BigUint::mod_inverse(l_function(gq, q) % q, q);
   q_inv_p_ = BigUint::mod_inverse(q % p, p);
@@ -181,10 +227,11 @@ BigUint PrivateKey::decrypt(const Ciphertext& ct) const {
   if (ct.c >= pub_.n_squared()) {
     throw std::out_of_range("Paillier: ciphertext out of range");
   }
+  const FactorContext& f = *pub_.factors_;
   const BigUint p1 = p_ - BigUint{1}, q1 = q_ - BigUint{1};
-  const BigUint mp = (l_function(mont_p2_->pow(ct.c % p_sq_, p1), p_) % p_)
+  const BigUint mp = (l_function(f.mont_p2.pow(ct.c % f.p_sq, p1), p_) % p_)
                          .mul_mod(hp_, p_);
-  const BigUint mq = (l_function(mont_q2_->pow(ct.c % q_sq_, q1), q_) % q_)
+  const BigUint mq = (l_function(f.mont_q2.pow(ct.c % f.q_sq, q1), q_) % q_)
                          .mul_mod(hq_, q_);
   // CRT recombination: m = mq + q * ((mp - mq) * q^{-1} mod p).
   BigUint diff;

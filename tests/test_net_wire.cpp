@@ -332,6 +332,23 @@ TEST_F(EncryptedPayloads, KeyMaterialRoundTrip) {
   EXPECT_EQ(code_of([&] { (void)net::parse_key_material(evil); }), WireErrc::kBadPayload);
 }
 
+TEST_F(EncryptedPayloads, KeyMaterialYieldsKeyHolderPublicKey) {
+  // The receiver's public key comes from the private key, so it carries the
+  // factor context (CRT encryption) while staying equal to the wire's n.
+  const net::KeyMaterial parsed = net::parse_key_material(
+      net::make_key_material({he::PublicKey(kp_.pub.n()), kp_.prv}));
+  EXPECT_TRUE(parsed.pub.has_factor_context());
+  EXPECT_EQ(parsed.pub, kp_.pub);
+  EXPECT_EQ(he::serialize(parsed.pub), he::serialize(kp_.pub));
+
+  // A private key whose p*q is not the announced n stays a typed error.
+  bigint::Xoshiro256ss rng(2719);
+  const he::Keypair other = he::Keypair::generate(rng, 128);
+  const Frame mismatched = net::make_key_material({kp_.pub, other.prv});
+  EXPECT_EQ(code_of([&] { (void)net::parse_key_material(mismatched); }),
+            WireErrc::kBadPayload);
+}
+
 TEST_F(EncryptedPayloads, EncryptedVectorRoundTrip) {
   bigint::Xoshiro256ss rng(3);
   const std::vector<std::uint64_t> values{0, 1, 7, 42, 0, 13};

@@ -4,7 +4,9 @@
 
 #include <map>
 #include <memory>
+#include <utility>
 
+#include "core/telemetry.hpp"
 #include "paillier/encrypted_vector.hpp"
 
 namespace dubhe::he {
@@ -132,6 +134,119 @@ TEST(Paillier, DeserializeRejectsTruncatedBuffers) {
   EXPECT_THROW(deserialize_ciphertext(tiny), std::invalid_argument);
   const std::vector<std::uint8_t> lying{0, 0, 1, 0, 42};  // claims 256 bytes
   EXPECT_THROW(deserialize_ciphertext(lying), std::invalid_argument);
+}
+
+// --- key-holder CRT noise path ------------------------------------------------
+//
+// A key exposed by a PrivateKey encrypts by CRT; PublicKey(n) is the public
+// reference. Fed identically seeded RNGs, the two must emit identical
+// ciphertexts and leave their RNGs in identical states (same draws, same
+// rejections).
+
+/// Runs `seeds` encrypt + rerandomize pairs under both keys and returns how
+/// many seeds' first draw r was rejected (gcd(r, n) != 1), so callers can
+/// show the rejection branch fired.
+std::size_t expect_crt_matches_public(const PrivateKey& prv, std::size_t seeds) {
+  const PublicKey& crt = prv.public_key();
+  const PublicKey pub(crt.n());
+  EXPECT_TRUE(crt.has_factor_context());
+  EXPECT_FALSE(pub.has_factor_context());
+  std::size_t rejected = 0;
+  for (std::size_t seed = 0; seed < seeds; ++seed) {
+    bigint::Xoshiro256ss probe(seed);
+    if (!BigUint::gcd(bigint::random_below(probe, pub.n()), pub.n()).is_one()) ++rejected;
+
+    bigint::Xoshiro256ss msg_rng(seed + 1'000'000);
+    const BigUint m = bigint::random_below(msg_rng, pub.n());
+    bigint::Xoshiro256ss a(seed), b(seed);
+    const Ciphertext ca = crt.encrypt(m, a);
+    const Ciphertext cb = pub.encrypt(m, b);
+    EXPECT_EQ(ca, cb) << "encrypt, key_bits=" << pub.key_bits() << " seed=" << seed;
+    EXPECT_EQ(crt.rerandomize(ca, a), pub.rerandomize(cb, b))
+        << "rerandomize, key_bits=" << pub.key_bits() << " seed=" << seed;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << "RNG consumption, seed=" << seed;
+    if (seed < 8) EXPECT_EQ(prv.decrypt(ca), m);
+  }
+  return rejected;
+}
+
+TEST(KeyHolderCrt, TinyKeysMatchPublicPathThroughRejections) {
+  // 8-12-bit factors: r is divisible by p or q often enough that the
+  // rejection-and-redraw branch runs many times over these seeds.
+  std::size_t rejected = 0;
+  for (const std::size_t bits : {16u, 18u, 20u, 22u, 24u}) {
+    bigint::Xoshiro256ss rng(bits * 17 + 1);
+    const Keypair kp = Keypair::generate(rng, bits);
+    rejected += expect_crt_matches_public(kp.prv, 1000);
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(KeyHolderCrt, MatchesPublicPathAcrossKeySizes) {
+  for (const auto& [bits, seeds] :
+       {std::pair<std::size_t, std::size_t>{64, 200}, {256, 200}, {1024, 200}}) {
+    bigint::Xoshiro256ss rng(bits * 131 + 7);
+    const Keypair kp = Keypair::generate(rng, bits);
+    (void)expect_crt_matches_public(kp.prv, seeds);
+  }
+}
+
+TEST(KeyHolderCrt, MatchesPublicPathAt2048Bits) {
+  bigint::Xoshiro256ss rng(2048);
+  const Keypair kp = Keypair::generate(rng, 2048);
+  (void)expect_crt_matches_public(kp.prv, 3);
+}
+
+TEST(KeyHolderCrt, FactorsNeverReachTheWire) {
+  bigint::Xoshiro256ss rng(41);
+  const Keypair kp = Keypair::generate(rng, 256);
+  EXPECT_TRUE(kp.pub.has_factor_context());
+  EXPECT_EQ(serialize(kp.pub), serialize(PublicKey(kp.pub.n())));
+  EXPECT_EQ(serialized_size(kp.pub), serialize(kp.pub).size());
+  EXPECT_FALSE(deserialize_public_key(serialize(kp.pub)).has_factor_context());
+  // A private key rebuilt from its wire form exposes the context again.
+  EXPECT_TRUE(deserialize_private_key(serialize(kp.prv)).public_key().has_factor_context());
+}
+
+TEST(KeyHolderCrt, FixedBaseTableTakesPrecedence) {
+  bigint::Xoshiro256ss rng(42);
+  const Keypair kp = Keypair::generate(rng, 256);
+  PublicKey crt_fb = kp.pub;
+  PublicKey pub_fb(kp.pub.n());
+  bigint::Xoshiro256ss table_a(7), table_b(7);
+  crt_fb.precompute_noise(table_a);
+  pub_fb.precompute_noise(table_b);
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    bigint::Xoshiro256ss a(seed), b(seed), c(seed);
+    const Ciphertext fb = crt_fb.encrypt(BigUint{seed}, a);
+    EXPECT_EQ(fb, pub_fb.encrypt(BigUint{seed}, b));  // the table's bytes
+    EXPECT_NE(fb, kp.pub.encrypt(BigUint{seed}, c));  // not the CRT path's
+    EXPECT_EQ(kp.prv.decrypt(fb), BigUint{seed});
+  }
+}
+
+TEST(KeyHolderCrt, EncryptMetricsNameThePath) {
+  namespace tel = telemetry;
+  bigint::Xoshiro256ss rng(43);
+  const Keypair kp = Keypair::generate(rng, 128);
+  PublicKey fb = kp.pub;
+  fb.precompute_noise(rng);
+  tel::Counter& crt = tel::counter("dubhe_paillier_encrypt_total{mode=\"crt\"}");
+  tel::Counter& plain = tel::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
+  tel::Counter& fixed =
+      tel::counter("dubhe_paillier_encrypt_total{mode=\"fixed_base\"}");
+  tel::set_enabled(true);
+  const std::uint64_t crt0 = crt.value(), plain0 = plain.value(), fixed0 = fixed.value();
+  (void)kp.pub.encrypt(BigUint{1}, rng);
+  EXPECT_EQ(crt.value(), crt0 + 1);
+  EXPECT_EQ(plain.value(), plain0);
+  (void)PublicKey(kp.pub.n()).encrypt(BigUint{1}, rng);
+  EXPECT_EQ(plain.value(), plain0 + 1);
+  EXPECT_EQ(crt.value(), crt0 + 1);
+  (void)fb.encrypt(BigUint{1}, rng);
+  EXPECT_EQ(fixed.value(), fixed0 + 1);
+  EXPECT_EQ(crt.value(), crt0 + 1);
+  tel::set_enabled(false);
 }
 
 TEST(EncryptedVector, SlotwiseAggregation) {

@@ -248,6 +248,34 @@ TEST(BatchPaillier, FixedBaseEncryptionRoundTripsAndStaysInvariant) {
   EXPECT_EQ(kp.prv.decrypt(re), BigUint{424242});
 }
 
+TEST(BatchPaillier, KeyHolderCrtBatchesMatchSerialPublicPath) {
+  // The key holder's public key shares one FactorContext across every shard;
+  // its batch output at any thread count must equal the public-only key's
+  // serial bytes (this suite's TSan leg checks the concurrent reads).
+  const he::Keypair& kp = test_keypair();
+  ASSERT_TRUE(kp.pub.has_factor_context());
+  const he::PublicKey pub(kp.pub.n());
+  std::vector<BigUint> ms;
+  for (const auto v : test_values()) ms.emplace_back(v);
+  const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
+  const auto values = test_values();
+
+  const auto reference = pub.encrypt_batch(ms, 77, {.threads = 1});
+  bigint::Xoshiro256ss ref_rng(57);
+  const auto packed_reference = he::serialize(
+      he::PackedEncryptedVector::encrypt(pub, codec, values, ref_rng, {.threads = 1}));
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{7}}) {
+    EXPECT_EQ(kp.pub.encrypt_batch(ms, 77, {.threads = threads}), reference)
+        << "threads=" << threads;
+    bigint::Xoshiro256ss rng(57);
+    EXPECT_EQ(he::serialize(he::PackedEncryptedVector::encrypt(kp.pub, codec, values, rng,
+                                                               {.threads = threads})),
+              packed_reference)
+        << "threads=" << threads;
+  }
+}
+
 // --- secure session over the shared runtime ----------------------------------
 
 TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
