@@ -15,15 +15,14 @@ namespace dubhe::core {
 
 /// Cryptosystem parameters for the secure flows. The paper's deployment is
 /// key_bits = 2048, one ciphertext per registry slot (python-paillier);
-/// packing (BatchCrypt-style, quantified in bench/micro_crypto) is the
-/// default wire form since wire v3 — a 2048-bit key with 32-bit slots
-/// carries ~63 logical values per ciphertext, so registry/distribution
-/// frames shrink ~50x. Set use_packing = false for the paper's per-slot
-/// layout (the A/B baseline; decrypted values are identical either way).
+/// sessions always pack (BatchCrypt-style): a 2048-bit key with 32-bit
+/// slots carries ~63 logical values per ciphertext, so registry and
+/// distribution frames are ~50x smaller. The paper's per-slot layout is
+/// still measured where it is reproduced — bench/overhead_sec64 and the
+/// bench/micro_crypto ablation use he::EncryptedVector directly.
 struct SecureConfig {
   std::size_t key_bits = 2048;
-  bool use_packing = true;
-  /// Slot width when packing. 32 bits holds fixed-point distribution sums
+  /// Slot width of the packed ciphertexts. 32 bits holds fixed-point distribution sums
   /// (scale 10^6 x cohorts into the thousands) and > 10^9 one-hot registry
   /// additions per slot, far beyond any realistic client population.
   std::size_t packing_slot_bits = 32;
@@ -65,6 +64,11 @@ struct SecureConfig {
   /// with 16 bits covers deltas in (-0.5, 0.5) at ~1.5e-5 resolution.
   double update_quant_scale = 65536.0;
 };
+
+/// The packing geometry of every session registry and distribution
+/// ciphertext: key_bits - 1 plaintext bits split into packing_slot_bits
+/// slots. Clients, shard slices and the root all derive it from here.
+[[nodiscard]] he::PackedCodec packed_codec(const SecureConfig& cfg);
 
 /// Fixed-point quantization of a label distribution (§5.3): round each
 /// share to d[c] * scale. Shared by the in-process session and the net
@@ -144,8 +148,7 @@ class SecureSelectionSession {
   /// kKeyMaterial frames.
   [[nodiscard]] const he::Keypair& keypair() const { return keypair_; }
   /// Exact wire size (full frame, header included) of one client's encrypted
-  /// registry under the configured mode — what the channel accounting
-  /// records per registry message.
+  /// registry — what the channel accounting records per registry message.
   [[nodiscard]] std::size_t encrypted_registry_bytes() const;
   /// Exact wire size of one client's encrypted label distribution frame.
   [[nodiscard]] std::size_t encrypted_distribution_bytes() const;
@@ -176,12 +179,10 @@ class SecureSelectionSession {
   /// Agent half of §5.1: homomorphically sums the uploaded registries and
   /// decrypts R_A (timed into timings()). Throws std::invalid_argument on an
   /// empty span.
-  std::vector<std::uint64_t> reduce_registry(std::span<const he::EncryptedVector> cts);
   std::vector<std::uint64_t> reduce_registry(
       std::span<const he::PackedEncryptedVector> cts);
   /// Agent half of §5.3: sums the uploaded fixed-point distributions,
   /// decrypts, and normalizes p_o.
-  stats::Distribution reduce_population(std::span<const he::EncryptedVector> cts);
   stats::Distribution reduce_population(std::span<const he::PackedEncryptedVector> cts);
 
  private:

@@ -147,7 +147,7 @@ Frame make_shutdown();
 /// and, where ciphertext flows, the shard's homomorphic partial sum in the
 /// paillier wire form ('V'/'K' self-tagged bytes) — the root validates it
 /// against the session key and geometry before it joins the global sum,
-/// exactly as the flat aggregator validates a client upload.
+/// exactly as a slice validates a client upload.
 
 struct ShardHello {
   std::uint32_t shard_id = 0;
@@ -202,7 +202,7 @@ struct ShardTryBegin {
   bool operator==(const ShardTryBegin&) const = default;
 };
 
-/// Partial population sum for one try. `failed` mirrors the flat driver's
+/// Partial population sum for one try. `failed` is the determination's
 /// restart trigger: a selected client died or misbehaved during the sweep
 /// (the sweep still completed, the offenders are in `quarantined`), so the
 /// root must restart the whole determination over the survivors.

@@ -1,17 +1,12 @@
 #include "net/cohort.hpp"
 
 #include <stdexcept>
+#include <string>
+#include <thread>
 
 #include "core/selective.hpp"
 
 namespace dubhe::net::detail {
-
-void check_encrypted(const he::EncryptedVector& v, const he::PublicKey& session_key,
-                     std::size_t want_slots) {
-  if (!(v.public_key() == session_key) || v.size() != want_slots) {
-    throw WireError(WireErrc::kBadPayload, "encrypted payload does not match the session");
-  }
-}
 
 void check_encrypted(const he::PackedEncryptedVector& v, const he::PublicKey& session_key,
                      std::size_t want_logical, const he::PackedCodec& want_codec) {
@@ -156,6 +151,60 @@ void check_session_params(const SessionParams& params, std::size_t N) {
   if (params.K == 0) throw std::invalid_argument("session: K == 0");
   if (params.K > N) throw std::invalid_argument("session: K > N");
   if (params.rounds == 0) throw std::invalid_argument("session: rounds == 0");
+}
+
+SessionTranscript run_harness(const char* who, const data::FederatedDataset& dataset,
+                              const nn::Sequential& prototype, const SessionParams& params,
+                              std::span<const FaultPlan> plans, const Harness& h) {
+  const std::size_t N = dataset.num_clients();
+  if (!plans.empty() && plans.size() != N) {
+    throw std::invalid_argument(std::string(who) + ": one fault plan per client required");
+  }
+  std::vector<std::exception_ptr> shard_errors(h.shards.size());
+  std::vector<std::exception_ptr> client_errors(N);
+  std::vector<std::thread> threads;
+  threads.reserve(h.shards.size() + N);
+  for (std::size_t s = 0; s < h.shards.size(); ++s) {
+    threads.emplace_back([&, s] {
+      try {
+        h.shards[s]();
+      } catch (...) {
+        shard_errors[s] = std::current_exception();
+      }
+    });
+  }
+  for (std::size_t id = 0; id < N; ++id) {
+    threads.emplace_back([&, id] {
+      const bool faulty = id < plans.size() && plans[id].enabled();
+      std::shared_ptr<Transport> link;
+      try {
+        link = h.client_link(id);
+        std::shared_ptr<Transport> endpoint = link;
+        if (faulty) endpoint = std::make_shared<FaultyTransport>(link, plans[id]);
+        serve_client(*endpoint, id, dataset, prototype, params);
+      } catch (...) {
+        if (!faulty) client_errors[id] = std::current_exception();
+        if (link != nullptr) link->close();
+      }
+    });
+  }
+  SessionTranscript t;
+  try {
+    t = h.drive();
+  } catch (...) {
+    h.abort();
+    for (auto& th : threads) th.join();
+    throw;
+  }
+  for (auto& th : threads) th.join();
+  // Shards are infrastructure: their failure outranks any client's.
+  for (auto& err : shard_errors) {
+    if (err != nullptr) std::rethrow_exception(err);
+  }
+  for (auto& err : client_errors) {
+    if (err != nullptr) std::rethrow_exception(err);
+  }
+  return t;
 }
 
 }  // namespace dubhe::net::detail

@@ -21,6 +21,11 @@
 /// single event loop or Paillier adder ever touches more than ceil(N/A)
 /// clients.
 ///
+/// The root is the only aggregator phase machine in the net layer: the flat
+/// server (run_server_session) is this same root over one in-process slice
+/// that owns the whole cohort, so "flat" and "tree" differ only in where
+/// the slices live (see net/cohort.hpp, ShardSlice).
+///
 /// Correctness bar: the tree only re-parenthesizes the existing reductions
 /// (Paillier addition is ciphertext multiplication mod n² — associative and
 /// commutative — and the mode-1 update sums are exact u64 adds), and the
@@ -65,11 +70,11 @@ struct ShardRange {
 /// order need not be shard order — the kShardHello exchange binds ids and
 /// validates that the announced ranges exactly partition the cohort).
 /// Owns the session keypair and the agent role; `dataset` provides the
-/// prototype's evaluation set only. Returns the same SessionTranscript the
-/// flat driver would, byte-identical on the same seeds. Shard-link failures
-/// throw TransportError (see the trust model above); client churn inside a
-/// shard arrives as quarantine records and is handled exactly like the
-/// flat driver handles it.
+/// prototype's evaluation set only. Returns the same SessionTranscript a
+/// flat session would, byte-identical on the same seeds. Shard-link
+/// failures throw TransportError (see the trust model above); client churn
+/// inside a shard arrives as quarantine records and is handled exactly as
+/// in a flat session.
 SessionTranscript run_root_session(std::span<const std::shared_ptr<Transport>> shard_links,
                                    const data::FederatedDataset& dataset,
                                    const nn::Sequential& prototype,

@@ -20,12 +20,17 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "core/cpu.hpp"
 #include "core/telemetry.hpp"
+#include "core/registry.hpp"
+#include "net/codec.hpp"
 #include "net/node.hpp"
+#include "net/shard.hpp"
 #include "net/tcp.hpp"
 #include "nn/builders.hpp"
 
@@ -147,6 +152,7 @@ TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
   telemetry::set_trace_enabled(false);
   const auto off = net::run_loopback_session(dataset, proto, params, plans);
 
+  telemetry::reset_all();
   telemetry::set_enabled(true);
   telemetry::set_trace_enabled(true);
   const auto on = net::run_loopback_session(dataset, proto, params, plans);
@@ -162,33 +168,138 @@ TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
   EXPECT_GT(telemetry::counter("dubhe_frames_total{dir=\"in\"}").value(), 0u);
   EXPECT_GT(
       telemetry::counter("dubhe_quarantine_total{reason=\"disconnect\"}").value(), 0u);
-  EXPECT_GT(telemetry::histogram("dubhe_phase_seconds{phase=\"registration\"}").count(),
-            0u);
+  // One engine observes each phase once: the flat aggregator is the tree
+  // root over an in-process slice, and only a remote shard process adds
+  // spans or partial counters of its own.
+  const auto phase_count = [](const char* phase) {
+    return telemetry::histogram("dubhe_phase_seconds{phase=\"" + std::string(phase) + "\"}")
+        .count();
+  };
+  const std::uint64_t R = params.rounds;
+  EXPECT_EQ(phase_count("hello"), 1u);
+  EXPECT_EQ(phase_count("registration"), 1u);
+  EXPECT_EQ(phase_count("participation"), R);
+  EXPECT_EQ(phase_count("distribution"), R);
+  EXPECT_EQ(phase_count("update"), R);
+  EXPECT_EQ(phase_count("drain"), 1u);
+  EXPECT_EQ(telemetry::histogram("dubhe_fedavg_seconds").count(), R);
+  for (const char* msg : {"partial_registry", "setup_flush", "partial_participation",
+                          "partial_population", "partial_update", "drain_flush"}) {
+    EXPECT_EQ(telemetry::counter("dubhe_shard_partials_total{msg=\"" + std::string(msg) +
+                                 "\"}")
+                  .value(),
+              0u)
+        << msg;
+  }
   EXPECT_FALSE(telemetry::trace_events().empty());
   telemetry::reset_all();
 }
 
-TEST(NetRound, PlainSlotModeIsValueIdenticalToPackedDefault) {
-  // Packed distributions are the wire-v3 default; the paper's per-slot
-  // layout stays available as the A/B baseline. Both modes must agree with
-  // their own loopback run AND with each other: packing changes the
-  // ciphertext layout, never a decrypted value.
+/// A client speaking the per-slot 'V' form sessions no longer accept: it
+/// completes the hello and key receipt honestly, uploads its registry as one
+/// ciphertext per slot under the session key, then waits for the hang-up.
+void plain_slot_client(net::Transport& link, std::size_t id,
+                       const net::SessionParams& params) {
+  std::uint16_t seq = 0;
+  auto send = [&](net::Frame f) {
+    f.seq = seq++;
+    link.send(f);
+  };
+  send(net::make_client_hello({id, net::kWireVersion}));
+  he::PublicKey pub;
+  while (auto f = link.receive()) {
+    if (f->type == net::MsgType::kKeyMaterial) pub = net::parse_key_material(*f).pub;
+    if (f->type != net::MsgType::kRegistrationRequest) continue;
+    const auto req = net::parse_seed_request(*f, net::MsgType::kRegistrationRequest);
+    const core::RegistryCodec codec(params.num_classes, params.reference_set);
+    std::vector<std::uint64_t> onehot(codec.length(), 0);
+    onehot[0] = 1;
+    bigint::Xoshiro256ss rng(req.seed);
+    send(net::make_encrypted_vector(net::MsgType::kRegistryUpload,
+                                    he::EncryptedVector::encrypt(pub, onehot, rng)));
+  }
+}
+
+/// One session with client `rogue` replaced by plain_slot_client: flat
+/// (num_shards == 0) or a loopback tree of `num_shards` shard aggregators.
+net::SessionTranscript run_with_plain_slot_client(const data::FederatedDataset& dataset,
+                                                  const nn::Sequential& proto,
+                                                  const net::SessionParams& params,
+                                                  std::size_t rogue, std::size_t num_shards) {
+  const std::size_t N = dataset.num_clients();
+  std::vector<std::shared_ptr<net::Transport>> agg_side(N);
+  std::vector<std::shared_ptr<net::Transport>> client_side(N);
+  for (std::size_t id = 0; id < N; ++id) {
+    std::tie(agg_side[id], client_side[id]) = net::LoopbackTransport::make_pair();
+  }
+  std::vector<std::shared_ptr<net::Transport>> root_side(num_shards);
+  std::vector<std::shared_ptr<net::Transport>> shard_up(num_shards);
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    std::tie(root_side[s], shard_up[s]) = net::LoopbackTransport::make_pair();
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t id = 0; id < N; ++id) {
+    threads.emplace_back([&, id] {
+      try {
+        if (id == rogue) {
+          plain_slot_client(*client_side[id], id, params);
+        } else {
+          net::serve_client(*client_side[id], id, dataset, proto, params);
+        }
+      } catch (...) {
+        client_side[id]->close();
+      }
+    });
+  }
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    threads.emplace_back([&, s] {
+      const net::ShardRange range = net::shard_range(N, num_shards, s);
+      try {
+        net::serve_shard(*shard_up[s],
+                         std::span(agg_side).subspan(range.first, range.count),
+                         static_cast<std::uint32_t>(s),
+                         static_cast<std::uint32_t>(num_shards), N, params);
+      } catch (...) {
+        shard_up[s]->close();
+      }
+    });
+  }
+  net::SessionTranscript t;
+  try {
+    t = num_shards == 0 ? net::run_server_session(agg_side, dataset, proto, params)
+                        : net::run_root_session(root_side, dataset, proto, params);
+  } catch (...) {
+    for (auto& link : root_side) link->close();
+    for (auto& link : agg_side) link->close();
+    for (auto& th : threads) th.join();
+    throw;
+  }
+  for (auto& th : threads) th.join();
+  return t;
+}
+
+TEST(NetRound, PerSlotRegistryUploadIsQuarantinedAsBadCiphertext) {
+  // Sessions speak packed ciphertexts only. A registry upload in the
+  // paper's per-slot 'V' form — valid ciphertexts under the session key —
+  // is a ciphertext failure: the client is quarantined at registration and
+  // the session completes over the others, with the same record whether
+  // the aggregator is flat or a tree.
   const auto dataset = make_dataset(6);
   const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
   auto params = make_params(2);
-  params.evaluate = false;  // registry/selection equality is the point here
+  params.evaluate = false;
 
-  const auto packed_direct = net::run_session_direct(dataset, proto, params);
-  const auto packed_loopback = net::run_loopback_session(dataset, proto, params);
-  expect_same_transcript(packed_direct, packed_loopback);
-
-  auto plain = params;
-  plain.secure.use_packing = false;
-  const auto plain_direct = net::run_session_direct(dataset, proto, plain);
-  const auto plain_loopback = net::run_loopback_session(dataset, proto, plain);
-  expect_same_transcript(plain_direct, plain_loopback);
-
-  expect_same_transcript(packed_direct, plain_direct);
+  const auto flat = run_with_plain_slot_client(dataset, proto, params, 3, 0);
+  const auto tree = run_with_plain_slot_client(dataset, proto, params, 3, 2);
+  EXPECT_EQ(net::format_transcript(flat), net::format_transcript(tree));
+  ASSERT_EQ(flat.quarantined.size(), 1u);
+  const net::QuarantineRecord& q = flat.quarantined[0];
+  EXPECT_EQ(q.client_id, 3u);
+  EXPECT_EQ(q.round, net::QuarantineRecord::kSetupRound);
+  EXPECT_EQ(q.phase, net::SessionPhase::kRegistration);
+  EXPECT_EQ(q.reason, net::QuarantineReason::kBadCiphertext);
+  ASSERT_EQ(flat.rounds.size(), 1u);
+  for (const std::size_t k : flat.rounds[0].selected) EXPECT_NE(k, 3u);
 }
 
 TEST(NetRound, SelectiveUpdateSessionMatchesEverywhere) {

@@ -18,6 +18,7 @@
 #include "core/registry.hpp"
 
 #include "net/codec.hpp"
+#include "net/cohort.hpp"
 #include "net/fault.hpp"
 #include "net/node.hpp"
 #include "net/shard.hpp"
@@ -366,6 +367,53 @@ TEST(ShardTree, RootRejectsWrongShapePartialSum) {
       net::TransportError);
   root_side->close();
   rogue.join();
+}
+
+TEST(ShardSlice, RejectsRequestsTheRootCouldNeverSend) {
+  // The shard side is a request handler, so crafted root frames reach it
+  // in-process — no network. Each rejected request would otherwise corrupt
+  // the session silently: a try index >= H reuses another try's encryption
+  // streams, and a repeated client id polls that client twice and counts
+  // its upload twice in the partial sums.
+  const std::size_t N = 4;
+  const auto params = make_params(2, 1);
+  // Clients that are already gone: the hello exchange quarantines them at
+  // once, and every check under test runs before any client is polled.
+  std::vector<std::shared_ptr<net::Transport>> links(N);
+  for (auto& link : links) {
+    auto [agg_end, client_end] = net::LoopbackTransport::make_pair();
+    client_end->close();
+    link = agg_end;
+  }
+  net::detail::ShardSlice slice(links, 0, 1, N, params);
+  EXPECT_FALSE(slice.handle(net::make_server_hello({7, static_cast<std::uint32_t>(N), 0})));
+  bigint::Xoshiro256ss rng(5);
+  const he::Keypair kp = he::Keypair::generate(rng, params.secure.key_bits);
+  ASSERT_TRUE(slice.handle(net::make_key_material({kp.pub, kp.prv})));
+  ASSERT_TRUE(slice.handle(Frame{MsgType::kRegistryBroadcast, {}}));
+  ASSERT_TRUE(slice.handle(net::make_shard_round_begin({0})));
+
+  const auto rejected = [&](const Frame& f) {
+    return code_of([&] { (void)slice.handle(f); });
+  };
+  const auto H = static_cast<std::uint32_t>(params.H);
+  EXPECT_EQ(rejected(net::make_shard_try_begin({0, H, {1}})), WireErrc::kBadPayload);
+  EXPECT_EQ(rejected(net::make_shard_try_begin({0, 0, {1, 2, 1}})), WireErrc::kBadPayload);
+  EXPECT_EQ(rejected(net::make_shard_update_begin({0, {2, 2}, {0.5f}})),
+            WireErrc::kBadPayload);
+  // Foreign clients, a round that was never begun, and a skipped round.
+  EXPECT_EQ(rejected(net::make_shard_try_begin({0, 0, {N}})), WireErrc::kBadPayload);
+  EXPECT_EQ(rejected(net::make_shard_try_begin({1, 0, {1}})), WireErrc::kBadPayload);
+  EXPECT_EQ(rejected(net::make_shard_round_begin({2})), WireErrc::kBadPayload);
+
+  // A well-formed request is still served: every client is gone, so the
+  // try reports a failed sweep with no contributors.
+  const auto reply = slice.handle(net::make_shard_try_begin({0, H - 1, {1, 2}}));
+  ASSERT_TRUE(reply);
+  const net::PartialPopulation pp = net::parse_partial_population(*reply);
+  EXPECT_EQ(pp.try_index, H - 1);
+  EXPECT_TRUE(pp.failed);
+  EXPECT_EQ(pp.contributors, 0u);
 }
 
 TEST(ShardTree, RejectsInvalidTopologies) {

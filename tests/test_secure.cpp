@@ -6,6 +6,7 @@
 
 #include "core/selection.hpp"
 #include "data/partition.hpp"
+#include "net/sizes.hpp"
 
 namespace dubhe::core {
 namespace {
@@ -21,25 +22,22 @@ std::vector<stats::Distribution> make_cohort(std::size_t n, std::uint64_t seed =
   return data::make_partition(cfg).client_dists;
 }
 
-SecureConfig test_config(bool packing = false) {
+SecureConfig test_config() {
   SecureConfig cfg;
   cfg.key_bits = 256;  // small keys keep the test fast; 2048 runs in the bench
-  cfg.use_packing = packing;
   cfg.packing_slot_bits = 16;
   // Keep fixed-point sums within the 16-bit packed slots (5 clients x 2000).
   cfg.fixed_point_scale = 2000;
   return cfg;
 }
 
-class SecureSessionTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(SecureSessionTest, RegistrationMatchesPlaintextPath) {
+TEST(SecureSession, RegistrationMatchesPlaintextPath) {
   const auto dists = make_cohort(40);
   const RegistryCodec codec(10, {1, 2, 10});
   const std::vector<double> sigma{0.7, 0.1, 0.0};
 
   bigint::Xoshiro256ss rng(42);
-  SecureSelectionSession session(codec, sigma, test_config(GetParam()), dists.size(), rng);
+  SecureSelectionSession session(codec, sigma, test_config(), dists.size(), rng);
   const auto outcome = session.run_registration(dists);
 
   // The HE path must agree exactly with plaintext registration + summation.
@@ -53,11 +51,11 @@ TEST_P(SecureSessionTest, RegistrationMatchesPlaintextPath) {
   }
 }
 
-TEST_P(SecureSessionTest, RegistrySumsToCohortSize) {
+TEST(SecureSession, RegistrySumsToCohortSize) {
   const auto dists = make_cohort(25);
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(43);
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(GetParam()),
+  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(),
                                  dists.size(), rng);
   const auto outcome = session.run_registration(dists);
   std::uint64_t total = 0;
@@ -65,11 +63,11 @@ TEST_P(SecureSessionTest, RegistrySumsToCohortSize) {
   EXPECT_EQ(total, 25u);
 }
 
-TEST_P(SecureSessionTest, AggregatePopulationMatchesPlaintext) {
+TEST(SecureSession, AggregatePopulationMatchesPlaintext) {
   const auto dists = make_cohort(30);
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(44);
-  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(GetParam()),
+  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(),
                                  dists.size(), rng);
   const std::vector<std::size_t> selected{1, 4, 9, 16, 25};
   const auto po = session.aggregate_population(dists, selected);
@@ -78,8 +76,6 @@ TEST_P(SecureSessionTest, AggregatePopulationMatchesPlaintext) {
     EXPECT_NEAR(po[c], expect[c], 2e-3);  // fixed-point quantization tolerance
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(PackedAndUnpacked, SecureSessionTest, ::testing::Bool());
 
 TEST(SecureSession, ChannelAccountingCounts) {
   const auto dists = make_cohort(12);
@@ -126,13 +122,21 @@ TEST(SecureSession, TimingsAreAccumulated) {
 }
 
 TEST(SecureSession, PackingShrinksWireSize) {
+  // Sessions always pack; the paper's per-slot layout survives only as the
+  // §6.4 comparison rows, which size it with the same net helpers.
   const RegistryCodec codec(10, {1, 2, 10});
   bigint::Xoshiro256ss rng(47);
-  SecureSelectionSession unpacked(codec, {0.7, 0.1, 0.0}, test_config(false), 4, rng);
-  SecureSelectionSession packed(codec, {0.7, 0.1, 0.0}, test_config(true), 4, rng);
-  EXPECT_LT(packed.encrypted_registry_bytes(), unpacked.encrypted_registry_bytes() / 10);
-  EXPECT_LT(packed.encrypted_distribution_bytes(),
-            unpacked.encrypted_distribution_bytes());
+  SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, test_config(), 4, rng);
+  const he::PublicKey& pk = session.public_key();
+  const he::PackedCodec packed = packed_codec(test_config());
+  EXPECT_EQ(session.encrypted_registry_bytes(),
+            net::wire_size_packed_vector(pk, packed, codec.length()));
+  EXPECT_EQ(session.encrypted_distribution_bytes(),
+            net::wire_size_packed_vector(pk, packed, codec.num_classes()));
+  EXPECT_LT(session.encrypted_registry_bytes(),
+            net::wire_size_encrypted_vector(pk, codec.length()) / 10);
+  EXPECT_LT(session.encrypted_distribution_bytes(),
+            net::wire_size_encrypted_vector(pk, codec.num_classes()));
 }
 
 TEST(SecureSession, DubheSelectorConsumesSecureRegistry) {
