@@ -197,12 +197,14 @@ void print_compute_table() {
               kGemmN);
   std::printf("%-26s %-8s %8s %12s %12s\n", "kernel", "backend", "threads", "ms/op",
               "GFLOP/s");
-  const bool prev_simd = tensor::simd_enabled();
+  // Masking AVX2+FMA out of core::cpu's enabled set forces the scalar GEMM.
+  const std::uint32_t native_cpu = core::cpu::enabled();
   const std::size_t prev_threads = tensor::set_compute_threads(0);
   std::uint64_t round_seed = 0;
   for (const bool simd : {false, true}) {
+    core::cpu::set_enabled(simd ? native_cpu
+                                : native_cpu & ~(core::cpu::kAvx2 | core::cpu::kFma));
     if (simd && !tensor::simd_available()) continue;
-    tensor::set_simd_enabled(simd);
     const char* backend = tensor::simd_backend_name();
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                       std::size_t{8}}) {
@@ -225,11 +227,11 @@ void print_compute_table() {
                   threads, round_sec * 1e3, "-");
     }
   }
-  tensor::set_simd_enabled(prev_simd);
+  core::cpu::set_enabled(native_cpu);
   tensor::set_compute_threads(prev_threads);
-  std::printf("(runtime workers: %zu, simd compiled: %s)\n\n",
+  std::printf("(runtime workers: %zu, native gemm: %s)\n\n",
               core::ParallelRuntime::instance().worker_count(),
-              tensor::simd_available() ? "avx2" : "no");
+              tensor::simd_backend_name());
 }
 
 }  // namespace

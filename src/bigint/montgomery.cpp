@@ -56,18 +56,7 @@ void Montgomery::cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const {
     // t += a * b[i]
     const Limb bi = b[i];
     Limb carry = 0;
-    std::size_t j = 0;
-#if defined(DUBHE_SIMD_ENABLED)
-    // 2-way unrolled inner loops (DUBHE_SIMD builds). The carry chain is
-    // strictly sequential, so unrolling only interleaves the independent
-    // 64x64 multiplies and removes loop overhead — the operation order, and
-    // therefore every limb produced, is bit-identical to the rolled loop.
-    for (; j + 2 <= s; j += 2) {
-      t[j] = mac(t[j], a[j], bi, carry);
-      t[j + 1] = mac(t[j + 1], a[j + 1], bi, carry);
-    }
-#endif
-    for (; j < s; ++j) {
+    for (std::size_t j = 0; j < s; ++j) {
       t[j] = mac(t[j], a[j], bi, carry);
     }
     Limb c2 = 0;
@@ -78,14 +67,7 @@ void Montgomery::cios(const Limb* a, const Limb* b, Limb* out, Limb* t) const {
     const Limb m = t[0] * n0inv_;
     carry = 0;
     (void)mac(t[0], m, n[0], carry);  // low limb is zero by construction
-    j = 1;
-#if defined(DUBHE_SIMD_ENABLED)
-    for (; j + 2 <= s; j += 2) {
-      t[j - 1] = mac(t[j], m, n[j], carry);
-      t[j] = mac(t[j + 1], m, n[j + 1], carry);
-    }
-#endif
-    for (; j < s; ++j) {
+    for (std::size_t j = 1; j < s; ++j) {
       t[j - 1] = mac(t[j], m, n[j], carry);
     }
     c2 = 0;

@@ -15,9 +15,7 @@ class FixedBaseTable;
 /// Implements the CIOS (coarsely integrated operand scanning) method with
 /// 64-bit limbs. A context precomputes `R^2 mod N` (for R = 2^(64 s)) and
 /// `-N^{-1} mod 2^64` once, after which modular multiplications cost one
-/// pass over the operand limbs with no long division. DUBHE_SIMD builds
-/// run the kernel's inner loops 2-way unrolled (bit-identical limbs — the
-/// carry chain is sequential, only loop overhead goes away). `pow` uses a
+/// pass over the operand limbs with no long division. `pow` uses a
 /// fixed 4-bit window over preallocated limb buffers — the hot loop
 /// performs no heap allocation — which is the sweet spot for the
 /// 2048/4096-bit exponents Paillier needs.

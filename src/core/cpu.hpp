@@ -23,6 +23,17 @@
 //
 // Tokens are case-insensitive; unknown tokens warn on stderr and are
 // ignored (a typo must not silently change the tier under a benchmark).
+//
+// The library is compiled for the baseline ISA. A vector tier is one
+// function carrying `__attribute__((target("...")))`, built only where
+// DUBHE_CPU_TARGETS is 1 (x86 with GNU-style target attributes) and run
+// only when has() says so — so no instruction beyond the baseline executes
+// unless the machine offers it.
+#if (defined(__x86_64__) || defined(__i386__)) && (defined(__GNUC__) || defined(__clang__))
+#define DUBHE_CPU_TARGETS 1
+#else
+#define DUBHE_CPU_TARGETS 0
+#endif
 
 namespace dubhe::core::cpu {
 

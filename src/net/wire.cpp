@@ -5,15 +5,10 @@
 #include "core/cpu.hpp"
 #include "core/telemetry.hpp"
 
-// The PCLMUL tier needs carry-less multiply intrinsics. It is compiled only
-// in SIMD-enabled builds on x86 with a compiler that supports per-function
-// target attributes; the simd-off preset ships pure slice-by-8.
-#if defined(DUBHE_SIMD_ENABLED) && (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define DUBHE_CRC32_PCLMUL 1
+// The PCLMUL tier is one target-attributed function, built wherever
+// DUBHE_CPU_TARGETS holds (see core/cpu.hpp); elsewhere only slice-by-8.
+#if DUBHE_CPU_TARGETS
 #include <wmmintrin.h>
-#else
-#define DUBHE_CRC32_PCLMUL 0
 #endif
 
 namespace dubhe::net {
@@ -87,7 +82,7 @@ std::uint32_t slice8_update(std::uint32_t c, const std::uint8_t* p, std::size_t 
   return c;
 }
 
-#if DUBHE_CRC32_PCLMUL
+#if DUBHE_CPU_TARGETS
 
 /// PCLMUL-folded CRC32 over the reflected IEEE polynomial (the classic
 /// "Fast CRC Computation Using PCLMULQDQ" construction). Folds four 128-bit
@@ -176,19 +171,13 @@ __attribute__((target("pclmul,sse2"))) std::uint32_t pclmul_update(
       _mm_cvtsi128_si32(_mm_srli_si128(x, 4)));
 }
 
-#endif  // DUBHE_CRC32_PCLMUL
+#endif  // DUBHE_CPU_TARGETS
 
 /// Large inputs only: PCLMUL's fixed fold/reduce preamble costs more than it
 /// saves below this size, and the folder itself needs >= 64 bytes.
 constexpr std::size_t kPclmulMinBytes = 64;
 
-bool pclmul_usable() {
-#if DUBHE_CRC32_PCLMUL
-  return core::cpu::has(core::cpu::kPclmul);
-#else
-  return false;
-#endif
-}
+bool pclmul_usable() { return DUBHE_CPU_TARGETS && core::cpu::has(core::cpu::kPclmul); }
 
 /// Validates a complete 16-byte header and returns the payload length it
 /// promises. Truncation is the caller's concern: decode_frame treats
@@ -330,7 +319,7 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   std::uint32_t c = 0xFFFFFFFFu;
   const std::uint8_t* p = bytes.data();
   std::size_t n = bytes.size();
-#if DUBHE_CRC32_PCLMUL
+#if DUBHE_CPU_TARGETS
   // The enabled-set check is per call (one relaxed atomic load), so tests
   // and benches flipping tiers through core::cpu::set_enabled take effect
   // immediately instead of fighting a cached function pointer.

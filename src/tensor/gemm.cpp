@@ -8,7 +8,7 @@
 #include "core/parallel.hpp"
 #include "tensor/simd.hpp"
 
-#if DUBHE_SIMD_AVX2
+#if DUBHE_CPU_TARGETS
 #include <immintrin.h>
 #endif
 
@@ -25,10 +25,6 @@ constexpr std::size_t kMr = 8;
 constexpr std::size_t kNr = 8;
 
 std::atomic<std::size_t> g_compute_threads{0};
-/// -1 = unresolved. Resolution is lazy (first simd_enabled() call), not
-/// static-init: the default must consult core::cpu, which reads the
-/// DUBHE_CPU environment override.
-std::atomic<int> g_simd_state{-1};
 
 /// Packs op(B) row-major into [k][n_pad] with the padding columns zeroed,
 /// normalizing the transpose. This is the scalar backend's layout: long
@@ -47,7 +43,6 @@ void pack_b_rows(std::size_t n, std::size_t n_pad, std::size_t k, const float* b
   }
 }
 
-#if DUBHE_SIMD_AVX2
 /// Packs op(B) into kNr-column panels [panel][kk][kNr], zero-padded — the
 /// AVX2 microkernel's layout, one contiguous vector load per k step.
 void pack_b_panels(std::size_t n, std::size_t k, const float* b, std::size_t ldb,
@@ -69,7 +64,6 @@ void pack_b_panels(std::size_t n, std::size_t k, const float* b, std::size_t ldb
     }
   }
 }
-#endif  // DUBHE_SIMD_AVX2
 
 /// Packs one kMr-row panel of op(A): ap[kk][0..kMr), zero-padded rows.
 void pack_a_panel(std::size_t i0, std::size_t vm, std::size_t k, const float* a,
@@ -112,11 +106,13 @@ void kernel_scalar_panel(std::size_t k, std::size_t n_pad, const float* __restri
   }
 }
 
-#if DUBHE_SIMD_AVX2
+#if DUBHE_CPU_TARGETS
 /// AVX2+FMA microkernel: one kMr x kNr tile against one packed B panel, k
 /// unrolled by 2 to keep the two FMA pipes fed across the 8-deep
-/// dependency chains.
-void kernel_avx2(std::size_t k, const float* ap, const float* bp, float* acc) {
+/// dependency chains. The only function in the library built for AVX2;
+/// gemm calls it only when core::cpu enables AVX2 and FMA.
+__attribute__((target("avx2,fma"))) void kernel_avx2(std::size_t k, const float* ap,
+                                                      const float* bp, float* acc) {
   __m256 c0 = _mm256_setzero_ps(), c1 = _mm256_setzero_ps();
   __m256 c2 = _mm256_setzero_ps(), c3 = _mm256_setzero_ps();
   __m256 c4 = _mm256_setzero_ps(), c5 = _mm256_setzero_ps();
@@ -165,7 +161,7 @@ void kernel_avx2(std::size_t k, const float* ap, const float* bp, float* acc) {
   _mm256_storeu_ps(acc + 6 * kNr, c6);
   _mm256_storeu_ps(acc + 7 * kNr, c7);
 }
-#endif  // DUBHE_SIMD_AVX2
+#endif  // DUBHE_CPU_TARGETS
 
 /// Writes the valid region of one accumulator block (row stride `astride`)
 /// to C with the fused epilogue. Shared between backends, so scalar/SIMD
@@ -194,34 +190,11 @@ void store_block(const float* acc, std::size_t astride, float* c, std::size_t n,
 }  // namespace
 
 bool simd_available() {
-#if DUBHE_SIMD_AVX2
-  // Compiled in is necessary, not sufficient: the host must actually have
-  // (and the DUBHE_CPU policy must allow) AVX2+FMA, or the vector kernels
-  // would fault — a binary built -mavx2 still runs on a lesser machine as
-  // long as dispatch keeps it on the scalar path.
-  return core::cpu::has(core::cpu::kAvx2) && core::cpu::has(core::cpu::kFma);
-#else
-  return false;
-#endif
+  return DUBHE_CPU_TARGETS && core::cpu::has(core::cpu::kAvx2) &&
+         core::cpu::has(core::cpu::kFma);
 }
 
-bool set_simd_enabled(bool on) {
-  const bool prev = simd_enabled();
-  g_simd_state.store((on && simd_available()) ? 1 : 0);
-  return prev;
-}
-
-bool simd_enabled() {
-  int s = g_simd_state.load();
-  if (s < 0) {
-    // Benign race: concurrent first calls resolve to the same value.
-    s = simd_available() ? 1 : 0;
-    g_simd_state.store(s);
-  }
-  return s != 0;
-}
-
-const char* simd_backend_name() { return simd_enabled() ? "avx2" : "scalar"; }
+const char* simd_backend_name() { return simd_available() ? "avx2" : "scalar"; }
 
 std::size_t set_compute_threads(std::size_t threads) {
   return g_compute_threads.exchange(threads);
@@ -236,7 +209,9 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
 
   const std::size_t n_pad = ((n + kNr - 1) / kNr) * kNr;
   const std::size_t row_panels = (m + kMr - 1) / kMr;
-  const bool use_simd = simd_enabled();
+  // Asked per call, like net::crc32: a core::cpu::set_enabled flip takes
+  // effect on the next product.
+  const bool use_simd = simd_available();
 
   // One packed copy of B — laid out for whichever kernel will run: column
   // panels for the AVX2 tiles, padded rows for the scalar panel loop —
@@ -246,17 +221,12 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
   // parallel_for, so worker shards referencing it is safe.
   thread_local std::vector<float> bp_buf;
   bp_buf.resize(std::max<std::size_t>(1, k * n_pad));
-#if DUBHE_SIMD_AVX2
   if (use_simd) {
     pack_b_panels(n, k, b, ldb, tb, bp_buf.data());
   } else {
     pack_b_rows(n, n_pad, k, b, ldb, tb, bp_buf.data());
   }
-#else
-  pack_b_rows(n, n_pad, k, b, ldb, tb, bp_buf.data());
-#endif
   const float* bp = bp_buf.data();
-  (void)use_simd;
 
   const std::size_t threads = m * n * k >= kParallelFlopCutoff ? compute_threads() : 1;
 
@@ -266,7 +236,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
     const std::size_t i0 = p * kMr;
     const std::size_t vm = std::min(kMr, m - i0);
     pack_a_panel(i0, vm, k, a, lda, ta, ap_buf.data());
-#if DUBHE_SIMD_AVX2
+#if DUBHE_CPU_TARGETS
     if (use_simd) {
       alignas(32) float acc[kMr * kNr];
       for (std::size_t j0 = 0; j0 < n; j0 += kNr) {

@@ -17,7 +17,7 @@ namespace dubhe::tensor {
 /// exactly the backward-pass mask relu_inplace produces.
 ///
 /// Operands are packed into panels and the 8-row register-blocked
-/// microkernel (AVX2+FMA when compiled in and simd_enabled(), portable
+/// microkernel (AVX2+FMA when simd_available() at call time, portable
 /// scalar otherwise) runs over row panels distributed via
 /// core::parallel_for. Partitions are contiguous and every output element
 /// is written by exactly one shard from one globally packed B, so results

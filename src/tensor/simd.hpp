@@ -1,41 +1,19 @@
 #pragma once
 
-// SIMD dispatch for the compute kernels: compiled in at build time,
-// validated at run time.
+// Backend selection for the compute kernels: one binary, chosen per call.
 //
-// The `DUBHE_SIMD` CMake option (ON by default) defines DUBHE_SIMD_ENABLED
-// and, when the compiler accepts them, adds -mavx2 -mfma to the library
-// sources. All vector code lives behind the DUBHE_SIMD_AVX2 gate below so a
-// DUBHE_SIMD=OFF build — or any target without AVX2/FMA — compiles only the
-// portable scalar kernels and produces a binary with no AVX instructions.
-// The same DUBHE_SIMD_ENABLED gate selects the unrolled CIOS inner loop in
-// bigint::Montgomery (plain C unrolling, bit-identical, ISA-independent).
-//
-// Whether the compiled-in kernels actually *run* is decided through
-// core::cpu at first use: simd_available() additionally requires detected
-// AVX2+FMA under the current DUBHE_CPU policy, so the same binary degrades
-// to scalar on a lesser host (or under DUBHE_CPU=portable) instead of
-// faulting.
-
-#if defined(DUBHE_SIMD_ENABLED) && defined(__AVX2__) && defined(__FMA__)
-#define DUBHE_SIMD_AVX2 1
-#else
-#define DUBHE_SIMD_AVX2 0
-#endif
+// The GEMM carries two microkernels over the same packed panels: a
+// portable scalar kernel and an AVX2+FMA kernel compiled as a per-function
+// target (see DUBHE_CPU_TARGETS in core/cpu.hpp), so the rest of the
+// library stays baseline-ISA. Every gemm call asks core::cpu which one to
+// run; masking AVX2 or FMA through DUBHE_CPU or core::cpu::set_enabled
+// switches the next call to scalar. There is no other switch.
 
 namespace dubhe::tensor {
 
-/// True when the AVX2+FMA kernels were compiled into this binary AND the
-/// host offers (and DUBHE_CPU allows) AVX2+FMA — see core/cpu.hpp.
+/// True when the AVX2+FMA kernel is built for this target AND the host
+/// offers (and core::cpu currently enables) AVX2+FMA.
 bool simd_available();
-
-/// Runtime kill-switch over the compiled-in kernels, for benches and parity
-/// tests that compare the two backends in one process: set_simd_enabled(false)
-/// forces the scalar microkernel even when AVX2 is built. Enabling is a no-op
-/// when simd_available() is false. Returns the previous setting. Not
-/// synchronized with in-flight kernels — flip it only between operations.
-bool set_simd_enabled(bool on);
-bool simd_enabled();
 
 /// "avx2" or "scalar" — the backend the next kernel call will use.
 const char* simd_backend_name();

@@ -112,8 +112,8 @@ TEST(Crc32, RuntimeTierForcingIsTransparent) {
   stats::Rng rng(45);
   const auto payload = random_payload(rng, 4096 + 3);
   const std::uint32_t want = net::crc32_portable(payload);
-  // "pclmul" iff the kernel is compiled in AND the host offers the feature;
-  // a simd-off build or a pre-PCLMUL machine natively reports "slice8".
+  // "pclmul" iff the target has the PCLMUL tier AND the host offers the
+  // feature; a non-x86 target or a pre-PCLMUL machine reports "slice8".
   const std::string native = net::crc32_backend_name();
   const std::uint32_t prev = core::cpu::set_enabled(0);  // DUBHE_CPU=portable
   EXPECT_STREQ(net::crc32_backend_name(), "slice8");

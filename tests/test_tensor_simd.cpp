@@ -1,8 +1,8 @@
 // Parity and determinism suite for the SIMD compute backend (tier-1; also
 // run under ASan and TSan presets). Pins three properties: (1) the packed
 // microkernel GEMM matches a naive double-accumulator reference on awkward
-// shapes and every transpose combination, for whichever backends this build
-// carries; (2) the fused bias/ReLU epilogues equal their unfused
+// shapes and every transpose combination, for every backend this host can
+// run; (2) the fused bias/ReLU epilogues equal their unfused
 // compositions bit-for-bit; (3) matmul and Conv2d forward/backward are
 // byte-identical for any thread count (1/2/7), the contract the contiguous
 // partitioning of core::ParallelRuntime guarantees.
@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "core/cpu.hpp"
 #include "nn/conv.hpp"
 #include "stats/rng.hpp"
 #include "tensor/gemm.hpp"
@@ -65,17 +67,20 @@ void expect_identical(const Tensor& got, const Tensor& want) {
   }
 }
 
-/// Runs fn under every backend compiled into this binary (scalar always;
-/// AVX2 when available), restoring the previous setting afterwards.
+/// Masks AVX2+FMA out of core::cpu's enabled set — the one GEMM backend
+/// switch — and returns the previous set for core::cpu::set_enabled.
+std::uint32_t force_scalar() {
+  return core::cpu::set_enabled(core::cpu::enabled() &
+                                ~(core::cpu::kAvx2 | core::cpu::kFma));
+}
+
+/// Runs fn under every backend this host can run (scalar always; AVX2 when
+/// available), restoring the enabled set afterwards.
 void for_each_backend(const std::function<void(const char*)>& fn) {
-  const bool prev = simd_enabled();
-  set_simd_enabled(false);
+  const std::uint32_t prev = force_scalar();
   fn("scalar");
-  if (simd_available()) {
-    set_simd_enabled(true);
-    fn("avx2");
-  }
-  set_simd_enabled(prev);
+  core::cpu::set_enabled(prev);
+  if (simd_available()) fn("avx2");
 }
 
 // m, k, n triplets hitting the microkernel edges: sub-tile, exact-tile,
@@ -121,11 +126,11 @@ TEST(SimdGemm, ZeroSizedDimensions) {
 }
 
 TEST(SimdGemm, ScalarAndSimdBackendsAgree) {
-  if (!simd_available()) GTEST_SKIP() << "scalar-only build";
+  if (!simd_available()) GTEST_SKIP() << "AVX2+FMA not enabled on this host";
   const Tensor a = random_tensor({33, 47}, 4), b = random_tensor({47, 29}, 5);
-  set_simd_enabled(false);
+  const std::uint32_t prev = force_scalar();
   const Tensor scalar = matmul(a, b);
-  set_simd_enabled(true);
+  core::cpu::set_enabled(prev);
   const Tensor simd = matmul(a, b);
   // FMA contraction changes rounding, not values: tolerance scaled by k.
   expect_near(simd, scalar, 1e-4f * 47);
@@ -228,16 +233,36 @@ TEST(SimdGemm, ConvThreadCountInvariance) {
   EXPECT_EQ(r7.grads, r1.grads);
 }
 
+/// What the scalar backend computes: per element, float accumulation in
+/// increasing k order (kernel_scalar_panel), no fused multiply-add.
+Tensor scalar_reference(const Tensor& a, const Tensor& b) {
+  const std::size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
+  Tensor c{{m, n}};
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t kk = 0; kk < k; ++kk) acc += a(i, kk) * b(kk, j);
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
 TEST(SimdGemm, BackendIntrospection) {
-  const bool prev = simd_enabled();
-  set_simd_enabled(false);
+  // GEMM dispatch is per call through core::cpu: masking AVX2+FMA after a
+  // product has already run must switch the very next product to scalar.
+  const Tensor a = random_tensor({21, 37}, 18), b = random_tensor({37, 19}, 19);
+  const Tensor native = matmul(a, b);
+  const std::string native_name = simd_backend_name();
+  EXPECT_EQ(native_name, simd_available() ? "avx2" : "scalar");
+
+  const std::uint32_t prev = force_scalar();
   EXPECT_STREQ(simd_backend_name(), "scalar");
-  EXPECT_FALSE(simd_enabled());
-  const bool was = set_simd_enabled(true);
-  EXPECT_FALSE(was);
-  EXPECT_EQ(simd_enabled(), simd_available());
-  EXPECT_STREQ(simd_backend_name(), simd_available() ? "avx2" : "scalar");
-  set_simd_enabled(prev);
+  expect_identical(matmul(a, b), scalar_reference(a, b));
+
+  core::cpu::set_enabled(prev);
+  EXPECT_EQ(simd_backend_name(), native_name);
+  expect_identical(matmul(a, b), native);
 }
 
 TEST(SimdGemm, ReluMaskReuseKeepsSemantics) {

@@ -1,13 +1,13 @@
 #!/usr/bin/env sh
 # Tier-1 verification: configure + build + ctest in Release, then repeat
 # under ASan/UBSan to catch carry-propagation UB and lifetime bugs in the
-# bigint kernels and the shared core::ParallelRuntime pool, then once more
-# with DUBHE_SIMD=OFF so the portable scalar GEMM / rolled CIOS fallback
-# stays green. The release leg additionally runs the multi-process net
-# smoke (tools/net_smoke.sh: dubhe_node server + 3 client processes over
-# localhost, plus a 1-root + 2-shard + 4-client aggregation-tree leg,
-# every transcript diffed against the in-process selftest) and a
-# DUBHE_CPU=portable pass of the dispatch-sensitive suites (slice-by-8
+# bigint kernels and the shared core::ParallelRuntime pool. The release
+# leg additionally runs the ISA guard (tools/isa_guard.sh: no VEX/EVEX
+# code in libdubhe.a outside the target-attributed kernels), the
+# multi-process net smoke (tools/net_smoke.sh: dubhe_node server + 3
+# client processes over localhost, plus a 1-root + 2-shard + 4-client
+# aggregation-tree leg, every transcript diffed against the in-process
+# selftest) and the whole suite again under DUBHE_CPU=portable (slice-by-8
 # CRC, scalar GEMM, poll(2) backend — the no-capability tier). Data races
 # are a separate tool's job: a final ThreadSanitizer pass builds the
 # thread-invariance and transport suites (test_parallel_crypto +
@@ -49,6 +49,9 @@ run_preset() {
 
 run_preset release "$@"
 
+echo "== ISA guard (release build) =="
+tools/isa_guard.sh build
+
 # Two full 3-round secure sessions (multi-process + selftest) — not a fast
 # suite. The script enforces its own wall-clock timeout (see net_smoke.sh).
 if [ "$QUICK" -eq 0 ]; then
@@ -57,16 +60,14 @@ if [ "$QUICK" -eq 0 ]; then
 fi
 
 # Portable-tier leg: DUBHE_CPU=portable masks every runtime capability, so
-# the release binaries must pass the net + dispatch suites on slice-by-8
-# CRC, scalar GEMM and the poll(2) event-loop backend — the exact
-# configuration a machine without PCLMUL/AVX2/epoll would run.
+# the release binaries must pass every suite on slice-by-8 CRC, scalar
+# GEMM and the poll(2) event-loop backend — the exact configuration a
+# machine without PCLMUL/AVX2/epoll would run.
 echo "== portable capability tier (DUBHE_CPU=portable, release build) =="
-DUBHE_CPU=portable ctest --preset release \
-  -R "test_cpu|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_tensor_simd" \
-  --no-tests=error --timeout "$CTEST_TIMEOUT"
+# shellcheck disable=SC2086  # CTEST_ARGS is intentionally word-split
+DUBHE_CPU=portable ctest --preset release $CTEST_ARGS -j "$(nproc 2>/dev/null || echo 4)"
 
 run_preset asan "$@"
-run_preset simd-off "$@"
 
 echo "== thread-invariance under TSan =="
 cmake --preset tsan "$@"
