@@ -10,11 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
 #include "net/fault.hpp"
 #include "net/node.hpp"
+#include "net/shard.hpp"
 #include "nn/builders.hpp"
 
 namespace dubhe {
@@ -170,6 +172,76 @@ TEST(NetFaults, StragglerPastDeadlineTimesOut) {
   params.timeouts.upload = std::chrono::milliseconds(250);
   expect_quarantine("straggle@participation+2000", 1, 0, SessionPhase::kParticipation,
                     QuarantineReason::kTimeout, params);
+}
+
+// --- the distribution phase: K == N selects client 1 on every try, so
+// the n-th distribution upload is try n of round 0 (H = 3). Every row ends
+// in a restart of the determination over the three survivors.
+
+TEST(NetFaults, DisconnectAtDistributionFirstTry) {
+  expect_quarantine("disconnect@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kDisconnect, make_params(4));
+}
+
+TEST(NetFaults, DisconnectAtDistributionSecondTry) {
+  // The second upload is try 1: the client dies after try 0 was collected,
+  // with try 2's ciphertext possibly already prepared.
+  expect_quarantine("disconnect@distribution:1", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kDisconnect, make_params(4));
+}
+
+TEST(NetFaults, CorruptDistributionUploadIsBadCiphertext) {
+  expect_quarantine("corrupt@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kBadCiphertext, make_params(4));
+}
+
+TEST(NetFaults, TruncatedDistributionUploadIsBadFrame) {
+  expect_quarantine("truncate@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kBadFrame, make_params(4));
+}
+
+TEST(NetFaults, ReplayedDistributionUploadTripsSequenceCheck) {
+  // The duplicate upload is read as try 1's upload: the sequence check
+  // catches it there.
+  expect_quarantine("replay@distribution", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kReplay, make_params(4));
+}
+
+TEST(NetFaults, DistributionStragglerPastDeadlineTimesOut) {
+  auto params = make_params(4);
+  params.timeouts.upload = std::chrono::milliseconds(250);
+  expect_quarantine("straggle@distribution+2000", 1, 0, SessionPhase::kDistribution,
+                    QuarantineReason::kTimeout, params);
+}
+
+TEST(NetFaults, DistributionFaultOnALaterTryMatchesAcrossTopologies) {
+  // K = 2 < N: in this seeded session client 1 is first asked for its
+  // distribution on try 2 of round 0, so the fault fires after two tries
+  // were already collected and scored. Flat loopback, flat TCP and a
+  // 2-shard tree must agree on the restart and on the record.
+  const std::size_t N = 4;
+  const auto dataset = make_dataset(N);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  const auto params = make_params(2);
+  const auto plans = plan_for(N, 1, net::parse_fault_plan("disconnect@distribution"));
+
+  const auto loop = net::run_loopback_session(dataset, proto, params, plans);
+  const auto tcp = net::run_tcp_session(dataset, proto, params, plans, 1);
+  const auto tree = net::run_tree_session(dataset, proto, params, 2, plans);
+  EXPECT_EQ(net::format_transcript(loop), net::format_transcript(tcp));
+  EXPECT_EQ(net::format_transcript(loop), net::format_transcript(tree));
+
+  ASSERT_EQ(loop.rounds.size(), params.rounds);
+  ASSERT_EQ(loop.quarantined.size(), 1u);
+  const net::QuarantineRecord& q = loop.quarantined[0];
+  EXPECT_EQ(q.client_id, 1u);
+  EXPECT_EQ(q.round, 0u);
+  EXPECT_EQ(q.phase, SessionPhase::kDistribution);
+  EXPECT_EQ(q.reason, QuarantineReason::kDisconnect);
+  EXPECT_EQ(loop.rounds[0].dropped, std::vector<std::uint64_t>{1});
+  for (const auto& rec : loop.rounds) {
+    EXPECT_EQ(std::count(rec.selected.begin(), rec.selected.end(), 1u), 0);
+  }
 }
 
 TEST(NetFaults, ZombieAtShutdownCannotWedgeTeardown) {
