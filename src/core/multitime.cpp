@@ -22,19 +22,10 @@ MultiTimeOutcome multi_time_select(SelectionStrategy& strategy,
                                    std::size_t K, std::size_t H, stats::Rng& rng) {
   if (client_dists.empty()) throw std::invalid_argument("multi_time_select: no clients");
   return multi_time_select(
-      strategy, client_dists[0].size(), K, H, rng,
+      client_dists[0].size(), H, [&](std::size_t) { return strategy.select(K, rng); },
       [&](std::size_t, std::span<const std::size_t> s) {
         return population_of(client_dists, s);
       });
-}
-
-MultiTimeOutcome multi_time_select(
-    SelectionStrategy& strategy, std::size_t num_classes, std::size_t K, std::size_t H,
-    stats::Rng& rng,
-    const std::function<stats::Distribution(std::size_t, std::span<const std::size_t>)>&
-        aggregate) {
-  return multi_time_select(
-      num_classes, H, [&](std::size_t) { return strategy.select(K, rng); }, aggregate);
 }
 
 MultiTimeOutcome multi_time_select(
@@ -42,23 +33,43 @@ MultiTimeOutcome multi_time_select(
     const std::function<std::vector<std::size_t>(std::size_t)>& select,
     const std::function<stats::Distribution(std::size_t, std::span<const std::size_t>)>&
         aggregate) {
+  // Aggregating at collect keeps the serial order of side effects:
+  // select(h), aggregate(h), select(h+1), ...
+  std::span<const std::size_t> issued;
+  stats::Distribution po;
+  return multi_time_select(
+      num_classes, H,
+      TryPipeline{select, [&](std::size_t, std::span<const std::size_t> s) { issued = s; },
+                  [&](std::size_t h) { po = aggregate(h, issued); },
+                  [&](std::size_t) { return std::move(po); }});
+}
+
+MultiTimeOutcome multi_time_select(std::size_t num_classes, std::size_t H,
+                                   const TryPipeline& steps) {
   if (H == 0) throw std::invalid_argument("multi_time_select: H == 0");
   const stats::Distribution pu = stats::uniform(num_classes);
 
   MultiTimeOutcome out;
   out.try_emds.reserve(H);
-  for (std::size_t h = 0; h < H; ++h) {
-    std::vector<std::size_t> s = select(h);
-    stats::Distribution po = aggregate(h, s);
+  std::vector<std::vector<std::size_t>> sels(H);
+  const auto score = [&](std::size_t h) {
+    stats::Distribution po = steps.finish(h);
     const double emd = stats::l1_distance(po, pu);
     out.try_emds.push_back(emd);
     if (h == 0 || emd < out.emd_star) {
       out.emd_star = emd;
       out.best_try = h;
-      out.selected = std::move(s);
+      out.selected = std::move(sels[h]);
       out.population = std::move(po);
     }
+  };
+  for (std::size_t h = 0; h < H; ++h) {
+    sels[h] = steps.select(h);
+    steps.issue(h, sels[h]);
+    if (h > 0) score(h - 1);
+    steps.collect(h);
   }
+  score(H - 1);
   return out;
 }
 

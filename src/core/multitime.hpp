@@ -31,25 +31,36 @@ MultiTimeOutcome multi_time_select(SelectionStrategy& strategy,
                                    std::span<const stats::Distribution> client_dists,
                                    std::size_t K, std::size_t H, stats::Rng& rng);
 
-/// The same determination loop with the aggregation step supplied by the
-/// caller — the single authoritative copy of the §5.3.1 argmin rule
-/// (first-minimum tie-break included). The secure paths (in-process session
-/// and the net round driver) pass their Paillier reduction here, so the
-/// plaintext, direct-secure, and wire executions cannot drift apart.
-/// `aggregate` receives (try index h, the try's selection) and returns
-/// p_{o,h} with `num_classes` entries.
-MultiTimeOutcome multi_time_select(
-    SelectionStrategy& strategy, std::size_t num_classes, std::size_t K, std::size_t H,
-    stats::Rng& rng,
-    const std::function<stats::Distribution(std::size_t, std::span<const std::size_t>)>&
-        aggregate);
+/// The determination loop as four per-try steps — the single authoritative
+/// copy of the §5.3.1 argmin rule (first-minimum tie-break included). The
+/// secure paths (in-process session, flat and tree aggregators) supply
+/// their Paillier reduction here, so the plaintext, direct-secure and wire
+/// executions cannot drift apart.
+///
+/// A try's selection never reads an earlier try's aggregate, so the loop
+/// overlaps try h's scoring with try h+1's round-trip:
+///
+///   select(0) issue(0) collect(0)
+///   select(1) issue(1) finish(0) collect(1)
+///   ...
+///   select(H-1) issue(H-1) finish(H-2) collect(H-1) finish(H-1)
+///
+/// `select(h)` returns try h's participant set; `issue(h, sel)` starts its
+/// aggregation (a wire driver sends its requests); `collect(h)` receives
+/// and checks the contributions — a throw there ends the determination
+/// before try h+1 is selected; `finish(h)` returns p_{o,h} with
+/// `num_classes` entries.
+struct TryPipeline {
+  std::function<std::vector<std::size_t>(std::size_t)> select;
+  std::function<void(std::size_t, std::span<const std::size_t>)> issue;
+  std::function<void(std::size_t)> collect;
+  std::function<stats::Distribution(std::size_t)> finish;
+};
+MultiTimeOutcome multi_time_select(std::size_t num_classes, std::size_t H,
+                                   const TryPipeline& steps);
 
-/// The fully-callback form both other overloads reduce to: the per-try
-/// selection is supplied too. This is what the deployment-faithful paths
-/// use — `select(h)` returns try h's participant set (client-side Bernoulli
-/// draws resolved by the server's replenish stream), `aggregate(h, sel)`
-/// returns p_{o,h}; the argmin rule (first-minimum tie-break) stays in this
-/// single authoritative loop.
+/// The serial form: `select(h)` then `aggregate(h, sel)` = p_{o,h}, one try
+/// after the other (what the in-process reference path uses).
 MultiTimeOutcome multi_time_select(
     std::size_t num_classes, std::size_t H,
     const std::function<std::vector<std::size_t>(std::size_t)>& select,

@@ -170,8 +170,17 @@ class ShardSlice {
   /// (→ kPartialRegistry), kRegistryBroadcast (→ setup flush),
   /// kShardRoundBegin (→ kPartialParticipation), kShardTryBegin
   /// (→ kPartialPopulation), kShardUpdateBegin (→ kPartialUpdate) and
-  /// kShutdown (→ drain flush).
+  /// kShutdown (→ drain flush): issue() then collect().
   std::optional<Frame> handle(const Frame& from_root);
+
+  /// The two halves of handle(). issue() starts serving a request; for
+  /// kShardTryBegin that is only the distribution requests going out, so
+  /// the root can score the previous try while the clients answer.
+  /// collect() finishes it (for a try: the uploads in, the partial out) and
+  /// returns the reply, if the request has one. A second issue() before the
+  /// first request's reply was collected throws.
+  void issue(const Frame& from_root);
+  std::optional<Frame> collect();
 
   [[nodiscard]] const ShardRange& range() const { return range_; }
 
@@ -180,7 +189,8 @@ class ShardSlice {
   Frame registration(const Frame& f);
   Frame broadcast(const Frame& f);
   Frame round_begin(const Frame& f);
-  Frame try_begin(const Frame& f);
+  void try_issue(const Frame& f);
+  Frame try_collect();
   Frame update_begin(const Frame& f);
   Frame drain();
 
@@ -218,6 +228,11 @@ class ShardSlice {
   std::uint64_t session_seed_ = 0;
   he::PublicKey session_key_;
   std::optional<std::uint64_t> round_;  // the round begun last
+  /// Between issue() and collect(): the finished reply of any request but
+  /// kShardTryBegin, or the try whose requests are out.
+  std::optional<Frame> reply_;
+  std::optional<PartialPopulation> try_;
+  std::vector<std::uint64_t> try_members_;
 };
 
 /// Whom the aggregator's links lead to: the clients themselves (a flat

@@ -1,15 +1,32 @@
 #include "net/node.hpp"
 
+#ifdef __linux__
+#include <sys/resource.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
+#include <atomic>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <future>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <string_view>
+#include <system_error>
+#include <thread>
+#include <utility>
 
 #include "core/multitime.hpp"
 #include "core/parallel.hpp"
 #include "core/registration.hpp"
 #include "core/selection.hpp"
 #include "core/selective.hpp"
+#include "core/telemetry.hpp"
 #include "fl/client.hpp"
 #include "fl/server.hpp"
 #include "net/codec.hpp"
@@ -37,6 +54,108 @@ Frame encrypt_upload(MsgType type, const he::PublicKey& pk, const he::PackedCode
   bigint::Xoshiro256ss rng(seed);
   return make_encrypted_vector(type, he::PackedEncryptedVector::encrypt(pk, packed, values, rng));
 }
+
+/// Client-side distribution-encryption counters: who produced each upload
+/// served (`source` is "on_demand" or "speculative") and how many
+/// speculative encryptions were never asked for. Registered only with
+/// telemetry on.
+void count_client(std::string_view series, std::uint64_t n = 1) {
+  if (!telemetry::enabled() || n == 0) return;
+  telemetry::counter(series).inc(n);
+}
+constexpr std::string_view kOnDemand =
+    "dubhe_client_distribution_encrypt_total{source=\"on_demand\"}";
+constexpr std::string_view kSpeculative =
+    "dubhe_client_distribution_encrypt_total{source=\"speculative\"}";
+constexpr std::string_view kUnused = "dubhe_client_speculation_unused_total";
+
+/// The client half of the pipelined determination (§5.3). Once a client
+/// has sent its participation it knows which tries it volunteered for and
+/// the seed the aggregator will send for each — the same
+/// distribution_stream_seed(session seed, N, round·H + h, id) the slice
+/// derives — so a background worker encrypts p_l for those tries (h >= 1,
+/// in increasing h) while the aggregator is still busy with earlier ones.
+/// Try 0 is never speculated: its request follows the participation at
+/// once. take() hands out a speculated frame only for a request that
+/// carries the derived seed; anything else is encrypted fresh by the
+/// caller, and frames nobody asks for are dropped unsent. A cached frame
+/// is byte-identical to an on-demand encryption under the same seed, so
+/// nothing on the wire changes.
+///
+/// The destructor cancels the tries not yet started and joins the worker;
+/// serve_client holds the object in a scope that every exit path unwinds,
+/// so the worker never outlives it.
+class Speculation {
+ public:
+  /// `tries` holds (try index, derived seed) pairs in increasing try order.
+  Speculation(std::function<Frame(std::uint64_t)> encrypt,
+              std::span<const std::pair<std::uint32_t, std::uint64_t>> tries)
+      : encrypt_(std::move(encrypt)), slots_(tries.size()) {
+    for (std::size_t i = 0; i < tries.size(); ++i) {
+      slots_[i].h = tries[i].first;
+      slots_[i].seed = tries[i].second;
+      slots_[i].frame = slots_[i].done.get_future();
+    }
+    worker_ = std::thread([this] { run(); });
+  }
+  Speculation(const Speculation&) = delete;
+  Speculation& operator=(const Speculation&) = delete;
+
+  ~Speculation() {
+    cancel_ = true;
+    worker_.join();
+    std::uint64_t unused = 0;
+    for (const Slot& s : slots_) {
+      if (s.frame.valid() &&
+          s.frame.wait_for(std::chrono::seconds(0)) == std::future_status::ready) {
+        ++unused;
+      }
+    }
+    count_client(kUnused, unused);
+  }
+
+  /// The speculated upload for try `h` if there is one under `seed`,
+  /// waiting for it if it is still being encrypted; nullopt otherwise.
+  std::optional<Frame> take(std::uint32_t h, std::uint64_t seed) {
+    for (Slot& s : slots_) {
+      // A taken slot's future is no longer valid: a repeated request is
+      // encrypted fresh.
+      if (s.h == h && s.seed == seed && s.frame.valid()) return s.frame.get();
+    }
+    return std::nullopt;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t h = 0;
+    std::uint64_t seed = 0;
+    std::promise<Frame> done;
+    std::future<Frame> frame;
+  };
+
+  void run() {
+#ifdef __linux__
+    // Speculative work must never delay demanded work: where clients share
+    // a host with each other or with the aggregator, an on-demand
+    // encryption or the agent's decryption takes the core first. Linux
+    // applies a nice value to the calling thread alone.
+    (void)setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 19);
+#endif
+    for (Slot& s : slots_) {
+      if (cancel_) return;
+      try {
+        s.done.set_value(encrypt_(s.seed));
+      } catch (...) {
+        s.done.set_exception(std::current_exception());  // rethrown by take()
+      }
+    }
+  }
+
+  std::function<Frame(std::uint64_t)> encrypt_;
+  std::vector<Slot> slots_;
+  std::atomic<bool> cancel_{false};
+  std::thread worker_;
+};
 
 /// Client half: split a quantized update along the plan's mask, encrypt
 /// the top-k portion under the round's derived stream, frame the rest as
@@ -201,6 +320,8 @@ void serve_client(Transport& link, std::size_t client_id,
   // bits.
   const core::Registration reg = core::register_client(codec, dist, params.sigma);
   const he::PackedCodec session_packed = core::packed_codec(params.secure);
+  const std::vector<std::uint64_t> quantized =
+      core::quantize_distribution(dist, params.secure.fixed_point_scale);
 
   // Frame sequencing (wire v4): every outbound frame carries this
   // connection's next sequence number, and every inbound frame must carry
@@ -223,6 +344,10 @@ void serve_client(Transport& link, std::size_t client_id,
   double probability = 0;
   bool have_registry = false;
   std::uint64_t next_round = 0;
+  // The current round's speculative uploads. Declared after everything its
+  // worker reads, so unwinding joins the worker first; reset at kModelDown,
+  // the next kRoundBegin and kShutdown.
+  std::optional<Speculation> speculation;
   for (;;) {
     auto frame = link.receive();
     if (!frame) {
@@ -291,20 +416,48 @@ void serve_client(Transport& link, std::size_t client_id,
                                std::to_string(next_round) + ")");
         }
         ++next_round;
-        send(make_participation(
-            {static_cast<std::uint64_t>(client_id), rb.round,
-             proactive_draws(session_seed, rb.round, client_id, probability, params.H)}));
+        speculation.reset();
+        std::vector<std::uint8_t> draws =
+            proactive_draws(session_seed, rb.round, client_id, probability, params.H);
+        std::vector<std::pair<std::uint32_t, std::uint64_t>> tries;
+        for (std::size_t h = 1; h < params.H; ++h) {
+          if (draws[h] == 0) continue;
+          tries.emplace_back(static_cast<std::uint32_t>(h),
+                             core::distribution_stream_seed(session_seed, dataset.num_clients(),
+                                                            rb.round * params.H + h, client_id));
+        }
+        send(make_participation({static_cast<std::uint64_t>(client_id), rb.round,
+                                 std::move(draws)}));
+        if (!tries.empty()) {
+          try {
+            speculation.emplace(
+                [pub = keys.pub, packed = session_packed, q = quantized](std::uint64_t seed) {
+                  return encrypt_upload(MsgType::kDistributionUpload, pub, packed, q, seed);
+                },
+                tries);
+          } catch (const std::system_error&) {
+            // No thread to spare: every request is encrypted on demand.
+          }
+        }
         break;
       }
       case MsgType::kDistributionRequest: {
-        if (!have_key) throw TransportError("serve_client: distribution before keys");
+        if (!have_key || next_round == 0) {
+          throw TransportError("serve_client: distribution request outside a round");
+        }
         const SeedRequest req = parse_seed_request(*frame, MsgType::kDistributionRequest);
-        send(encrypt_upload(
-            MsgType::kDistributionUpload, keys.pub, session_packed,
-            core::quantize_distribution(dist, params.secure.fixed_point_scale), req.seed));
+        std::optional<Frame> up;
+        if (speculation) up = speculation->take(req.tag, req.seed);
+        count_client(up ? kSpeculative : kOnDemand);
+        if (!up) {
+          up = encrypt_upload(MsgType::kDistributionUpload, keys.pub, session_packed,
+                              quantized, req.seed);
+        }
+        send(*std::move(up));
         break;
       }
       case MsgType::kModelDown: {
+        speculation.reset();
         const WeightsMsg down = parse_weights(*frame, MsgType::kModelDown);
         std::vector<float> trained =
             client.train(prototype, down.weights, params.train, down.seed);
@@ -334,6 +487,7 @@ void serve_client(Transport& link, std::size_t client_id,
         break;
       }
       case MsgType::kShutdown: {
+        speculation.reset();
         link.close();
         return;
       }

@@ -1,7 +1,6 @@
 #include "net/shard.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -66,16 +65,16 @@ void count_partial(const char* label) {
 
 /// The root's view of one slice, with two backings: a remote shard's
 /// uplink (`t`, stamped sequence numbers, scaled deadlines), or the flat
-/// aggregator's in-process slice (`local`), which answers each send() by
-/// handling the request directly and queuing its reply for recv(). Either
-/// way every failure — timeout, sequence violation, unexpected type,
-/// malformed partial — is a fatal TransportError, never a quarantine:
-/// a slice is infrastructure.
+/// aggregator's in-process slice (`local`), which starts serving each
+/// request on send() and hands back its reply on recv() — so a try's
+/// uploads are collected only when the root asks for its partial, exactly
+/// as with a remote shard. Either way every failure — timeout, sequence
+/// violation, unexpected type, malformed partial — is a fatal
+/// TransportError, never a quarantine: a slice is infrastructure.
 struct ShardLink {
   std::shared_ptr<Transport> t;
   ShardSlice* local = nullptr;
   ShardRange range;
-  std::deque<Frame> replies;  // local backing only
   std::uint16_t send_seq = 0;
   std::uint16_t recv_seq = 1;  // the shard hello (seq 0) was already consumed
 
@@ -85,7 +84,7 @@ struct ShardLink {
 
   void send(Frame f) {
     if (local != nullptr) {
-      if (auto reply = local->handle(f)) replies.push_back(*std::move(reply));
+      local->issue(f);
       return;
     }
     f.seq = send_seq++;
@@ -100,9 +99,8 @@ struct ShardLink {
   Frame recv(MsgType want, std::chrono::milliseconds phase_deadline) {
     std::optional<Frame> f;
     if (local != nullptr) {
-      if (replies.empty()) throw TransportError("session: the local slice owes no reply");
-      f = std::move(replies.front());
-      replies.pop_front();
+      f = local->collect();
+      if (!f) throw TransportError("session: the local slice owes no reply");
     } else {
       const auto scale = static_cast<std::int64_t>(range.count) + 1;
       const auto deadline =
@@ -323,10 +321,16 @@ SessionTranscript aggregate_session(std::span<const std::shared_ptr<Transport>> 
     // --- §5.3: multi-time determination with per-try encrypted aggregation.
     // Each try fans out as kShardTryBegin (members in global selection
     // order) and the slice partials multiply back together in shard order.
+    // The steps are pipelined (core::TryPipeline): once try h's partials
+    // are in and checked, try h+1 is selected and its requests go out, and
+    // only then does the agent decrypt and score try h — so its decryption
+    // overlaps the clients' next encryptions. The sel_rng draws and every
+    // link's frame order are those of the serial loop.
     // A selected client that fails its sweep costs the whole determination:
     // the sweep finishes first (every surviving response consumed, queues
-    // balanced), the offender is already quarantined, and the determination
-    // re-runs over the survivors with K capped at the cohort that is left.
+    // balanced), the offender is already quarantined, and RestartRound —
+    // raised at receipt, before any later send — re-runs the determination
+    // over the survivors with K capped at the cohort that is left.
     {
     telemetry::Span dist_span("phase:distribution",
                               &phase_hist(SessionPhase::kDistribution));
@@ -340,51 +344,53 @@ SessionTranscript aggregate_session(std::span<const std::shared_ptr<Transport>> 
                              std::to_string(r));
       }
       const std::size_t Keff = std::min(params.K, ids.size());
+      std::vector<std::size_t> polled;  // the shards asked for the try in flight
+      std::vector<std::optional<he::PackedEncryptedVector>> psums(params.H);
+      core::TryPipeline steps;
+      steps.select = [&](std::size_t h) {
+        // The survivors' volunteered bits, resolved to exactly Keff;
+        // positions map back to real client ids.
+        std::vector<std::uint8_t> bits(ids.size(), 0);
+        for (std::size_t i = 0; i < ids.size(); ++i) bits[i] = draws[ids[i]][h];
+        std::vector<std::size_t> sel = core::resolve_participation(bits, Keff, sel_rng);
+        for (std::size_t& s : sel) s = ids[s];
+        return sel;
+      };
+      steps.issue = [&](std::size_t h, std::span<const std::size_t> sel) {
+        std::vector<std::vector<std::uint64_t>> members(A);
+        for (const std::size_t k : sel) {
+          members[shard_of(k)].push_back(static_cast<std::uint64_t>(k));
+        }
+        polled.clear();
+        for (std::size_t s = 0; s < A; ++s) {
+          if (members[s].empty()) continue;
+          shards[s].send(make_shard_try_begin(
+              {static_cast<std::uint64_t>(r), static_cast<std::uint32_t>(h),
+               std::move(members[s])}));
+          polled.push_back(s);
+        }
+      };
+      steps.collect = [&](std::size_t h) {
+        bool failed = false;
+        for (const std::size_t s : polled) {
+          PartialPopulation pp = parse_partial_population(
+              shards[s].recv(MsgType::kPartialPopulation, to.upload));
+          if (pp.shard_id != s || pp.round != r || pp.try_index != h) {
+            throw TransportError("session: partial population for wrong try");
+          }
+          merge_and_kill(pp.quarantined);
+          failed = failed || pp.failed;
+          if (pp.contributors == 0) continue;
+          merge_partial(psums[h], std::move(pp.ciphertext), session.public_key(),
+                        params.num_classes, session_packed, "partial population");
+        }
+        if (failed) throw RestartRound{};
+      };
+      steps.finish = [&](std::size_t h) {
+        return session.reduce_population({&*psums[h], 1});
+      };
       try {
-        fill_from_outcome(
-            rec,
-            core::multi_time_select(
-                params.num_classes, params.H,
-                [&](std::size_t h) {
-                  // The survivors' volunteered bits, resolved to exactly
-                  // Keff; positions map back to real client ids.
-                  std::vector<std::uint8_t> bits(ids.size(), 0);
-                  for (std::size_t i = 0; i < ids.size(); ++i) bits[i] = draws[ids[i]][h];
-                  std::vector<std::size_t> sel =
-                      core::resolve_participation(bits, Keff, sel_rng);
-                  for (std::size_t& s : sel) s = ids[s];
-                  return sel;
-                },
-                [&](std::size_t h, std::span<const std::size_t> sel) {
-                  std::vector<std::vector<std::uint64_t>> members(A);
-                  for (const std::size_t k : sel) {
-                    members[shard_of(k)].push_back(static_cast<std::uint64_t>(k));
-                  }
-                  std::vector<std::size_t> polled;
-                  for (std::size_t s = 0; s < A; ++s) {
-                    if (members[s].empty()) continue;
-                    shards[s].send(make_shard_try_begin(
-                        {static_cast<std::uint64_t>(r), static_cast<std::uint32_t>(h),
-                         std::move(members[s])}));
-                    polled.push_back(s);
-                  }
-                  bool failed = false;
-                  std::optional<he::PackedEncryptedVector> psum;
-                  for (const std::size_t s : polled) {
-                    PartialPopulation pp = parse_partial_population(
-                        shards[s].recv(MsgType::kPartialPopulation, to.upload));
-                    if (pp.shard_id != s || pp.round != r || pp.try_index != h) {
-                      throw TransportError("session: partial population for wrong try");
-                    }
-                    merge_and_kill(pp.quarantined);
-                    failed = failed || pp.failed;
-                    if (pp.contributors == 0) continue;
-                    merge_partial(psum, std::move(pp.ciphertext), session.public_key(),
-                                  params.num_classes, session_packed, "partial population");
-                  }
-                  if (failed) throw RestartRound{};
-                  return session.reduce_population({&*psum, 1});
-                }));
+        fill_from_outcome(rec, core::multi_time_select(params.num_classes, params.H, steps));
         break;
       } catch (const RestartRound&) {
         rec = RoundRecord{};
@@ -542,20 +548,31 @@ ShardSlice::ShardSlice(std::span<const std::shared_ptr<Transport>> client_links,
 }
 
 std::optional<Frame> ShardSlice::handle(const Frame& from_root) {
+  issue(from_root);
+  return collect();
+}
+
+void ShardSlice::issue(const Frame& from_root) {
+  if (reply_ || try_) {
+    throw WireError(WireErrc::kBadPayload, "shard: root request before the last reply");
+  }
   switch (from_root.type) {
-    case MsgType::kServerHello:
-      hello(from_root);
-      return std::nullopt;
-    case MsgType::kKeyMaterial: return registration(from_root);
-    case MsgType::kRegistryBroadcast: return broadcast(from_root);
-    case MsgType::kShardRoundBegin: return round_begin(from_root);
-    case MsgType::kShardTryBegin: return try_begin(from_root);
-    case MsgType::kShardUpdateBegin: return update_begin(from_root);
-    case MsgType::kShutdown: return drain();
+    case MsgType::kServerHello: hello(from_root); return;
+    case MsgType::kKeyMaterial: reply_ = registration(from_root); return;
+    case MsgType::kRegistryBroadcast: reply_ = broadcast(from_root); return;
+    case MsgType::kShardRoundBegin: reply_ = round_begin(from_root); return;
+    case MsgType::kShardTryBegin: try_issue(from_root); return;
+    case MsgType::kShardUpdateBegin: reply_ = update_begin(from_root); return;
+    case MsgType::kShutdown: reply_ = drain(); return;
     default:
       throw WireError(WireErrc::kBadPayload,
                       "shard: root sent unexpected " + to_string(from_root.type));
   }
+}
+
+std::optional<Frame> ShardSlice::collect() {
+  if (try_) return try_collect();
+  return std::exchange(reply_, std::nullopt);
 }
 
 void ShardSlice::advance(Stage want, Stage next) {
@@ -752,8 +769,8 @@ Frame ShardSlice::round_begin(const Frame& f) {
   return make_partial_participation(pp);
 }
 
-Frame ShardSlice::try_begin(const Frame& f) {
-  const ShardTryBegin tb = parse_shard_try_begin(f);
+void ShardSlice::try_issue(const Frame& f) {
+  ShardTryBegin tb = parse_shard_try_begin(f);
   require_round(tb.round);
   // try_slot = round * H + h must stay inside this round's H encryption
   // streams; a larger index would reuse another try's seeds.
@@ -776,12 +793,19 @@ Frame ShardSlice::try_begin(const Frame& f) {
       pp.failed = true;
     }
   }
+  try_ = std::move(pp);
+  try_members_ = std::move(tb.selected);
+}
+
+Frame ShardSlice::try_collect() {
+  PartialPopulation pp = *std::move(try_);
+  try_.reset();
   std::optional<he::PackedEncryptedVector> sum;
-  for (const std::uint64_t k : tb.selected) {
+  for (const std::uint64_t k : try_members_) {
     const std::size_t id = k - range_.first;
     auto up = cohort_.recv(id, MsgType::kDistributionUpload, params_.timeouts.upload,
-                           tb.round, SessionPhase::kDistribution);
-    auto v = up ? accept_upload(id, *up, params_.num_classes, tb.round,
+                           pp.round, SessionPhase::kDistribution);
+    auto v = up ? accept_upload(id, *up, params_.num_classes, pp.round,
                                 SessionPhase::kDistribution)
                 : std::nullopt;
     if (!v) {

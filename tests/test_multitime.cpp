@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "data/partition.hpp"
 
@@ -95,6 +99,92 @@ TEST(MultiTime, WorksWithDubheSelector) {
   const MultiTimeOutcome h10 = multi_time_select(dubhe, dists, 20, 10, rng);
   EXPECT_EQ(h10.selected.size(), 20u);
   EXPECT_LE(h10.emd_star, h1.emd_star + 0.2);  // overwhelmingly better or close
+}
+
+/// A pipeline over canned per-try populations that logs every call.
+struct LoggedPipeline {
+  std::vector<stats::Distribution> pops;
+  std::vector<std::string> log;
+  std::size_t throw_at_collect = SIZE_MAX;
+
+  TryPipeline steps() {
+    TryPipeline p;
+    p.select = [this](std::size_t h) {
+      log.push_back("select" + std::to_string(h));
+      return std::vector<std::size_t>{h, h + 100};
+    };
+    p.issue = [this](std::size_t h, std::span<const std::size_t> sel) {
+      EXPECT_EQ(sel.front(), h);
+      log.push_back("issue" + std::to_string(h));
+    };
+    p.collect = [this](std::size_t h) {
+      log.push_back("collect" + std::to_string(h));
+      if (h == throw_at_collect) throw std::runtime_error("restart");
+    };
+    p.finish = [this](std::size_t h) {
+      log.push_back("finish" + std::to_string(h));
+      return pops[h];
+    };
+    return p;
+  }
+};
+
+TEST(MultiTimePipeline, ScoresTryHAfterIssuingTryHPlusOne) {
+  LoggedPipeline lp;
+  lp.pops.assign(3, stats::uniform(4));
+  const MultiTimeOutcome out = multi_time_select(4, 3, lp.steps());
+  const std::vector<std::string> want{"select0", "issue0",  "collect0", "select1",
+                                      "issue1",  "finish0", "collect1", "select2",
+                                      "issue2",  "finish1", "collect2", "finish2"};
+  EXPECT_EQ(lp.log, want);
+  EXPECT_EQ(out.try_emds.size(), 3u);
+  EXPECT_EQ(out.best_try, 0u);  // exact three-way tie: the first minimum wins
+  EXPECT_EQ(out.selected, (std::vector<std::size_t>{0, 100}));
+}
+
+TEST(MultiTimePipeline, ThrowFromCollectStopsBeforeTheNextSelection) {
+  LoggedPipeline lp;
+  lp.pops.assign(3, stats::uniform(4));
+  lp.throw_at_collect = 1;
+  EXPECT_THROW((void)multi_time_select(4, 3, lp.steps()), std::runtime_error);
+  const std::vector<std::string> want{"select0", "issue0", "collect0", "select1",
+                                      "issue1",  "finish0", "collect1"};
+  EXPECT_EQ(lp.log, want);
+}
+
+TEST(MultiTimePipeline, MatchesTheSerialLoopOnTiedEmdSequences) {
+  // Per-try populations drawn from a pool of three, so exact EMD ties are
+  // frequent: try_emds, best_try (first minimum) and the winning selection
+  // must equal the serial select/aggregate form's on every sequence.
+  const std::vector<stats::Distribution> pool{
+      {0.25, 0.25, 0.25, 0.25}, {0.5, 0.5, 0.0, 0.0}, {0.4, 0.3, 0.2, 0.1}};
+  stats::Rng rng(29);
+  for (int rep = 0; rep < 200; ++rep) {
+    const std::size_t H = 1 + rng.below(6);
+    std::vector<stats::Distribution> pops(H);
+    for (auto& p : pops) p = pool[rng.below(pool.size())];
+    const auto select = [](std::size_t h) { return std::vector<std::size_t>{h}; };
+
+    LoggedPipeline lp;
+    lp.pops = pops;
+    const MultiTimeOutcome piped = multi_time_select(4, H, lp.steps());
+    const MultiTimeOutcome serial = multi_time_select(
+        4, H, select,
+        [&](std::size_t h, std::span<const std::size_t> sel) {
+          EXPECT_EQ(sel.front(), h);
+          return pops[h];
+        });
+    SCOPED_TRACE(rep);
+    EXPECT_EQ(piped.try_emds, serial.try_emds);
+    EXPECT_EQ(piped.best_try, serial.best_try);
+    EXPECT_EQ(piped.emd_star, serial.emd_star);
+    EXPECT_EQ(piped.population, serial.population);
+    EXPECT_EQ(piped.selected.front(), serial.selected.front());
+    const auto first_min = static_cast<std::size_t>(
+        std::min_element(serial.try_emds.begin(), serial.try_emds.end()) -
+        serial.try_emds.begin());
+    EXPECT_EQ(serial.best_try, first_min);
+  }
 }
 
 }  // namespace

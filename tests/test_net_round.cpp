@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <string>
 #include <thread>
@@ -27,7 +28,11 @@
 
 #include "core/cpu.hpp"
 #include "core/telemetry.hpp"
+#include "core/registration.hpp"
 #include "core/registry.hpp"
+#include "bigint/random.hpp"
+#include "core/secure.hpp"
+#include "fl/client.hpp"
 #include "net/codec.hpp"
 #include "net/node.hpp"
 #include "net/shard.hpp"
@@ -192,6 +197,200 @@ TEST(NetRound, TranscriptByteIdenticalWithTelemetryOnAndOff) {
         << msg;
   }
   EXPECT_FALSE(telemetry::trace_events().empty());
+  telemetry::reset_all();
+}
+
+/// A scripted root for one serve_client over a loopback pair: it stamps
+/// sequence numbers, and it can compute the exact upload a request should
+/// produce, which is a fresh packed encryption of the client's quantized
+/// distribution under the request's seed.
+class ScriptedRoot {
+ public:
+  static constexpr std::size_t kClient = 1;
+
+  ScriptedRoot() : dataset_(make_dataset(4)), proto_(nn::make_mlp(dataset_.feature_dim(), 16, 10, 7)) {
+    params_ = make_params(2);
+    bigint::Xoshiro256ss rng(77);
+    keys_ = he::Keypair::generate(rng, params_.secure.key_bits);
+    auto [root, client] = net::LoopbackTransport::make_pair();
+    root_ = std::move(root);
+    client_ = std::move(client);
+    worker_ = std::thread([this] {
+      try {
+        net::serve_client(*client_, kClient, dataset_, proto_, params_);
+      } catch (...) {
+        error_ = std::current_exception();
+        client_->close();
+      }
+    });
+    const auto hello = root_->receive();
+    EXPECT_TRUE(hello && hello->type == net::MsgType::kClientHello);
+  }
+  ScriptedRoot(const ScriptedRoot&) = delete;
+  ScriptedRoot& operator=(const ScriptedRoot&) = delete;
+  ~ScriptedRoot() {
+    root_->close();
+    if (worker_.joinable()) worker_.join();
+  }
+
+  void send(net::Frame f) {
+    f.seq = seq_++;
+    root_->send(f);
+  }
+  net::Frame recv(net::MsgType want) {
+    auto f = root_->receive();
+    EXPECT_TRUE(f.has_value());
+    if (!f) return {};
+    EXPECT_EQ(f->type, want);
+    return *std::move(f);
+  }
+
+  /// Hello and key dispatch.
+  void keys() {
+    send(net::make_server_hello({kSessionSeed, 4, static_cast<std::uint32_t>(kClient)}));
+    send(net::make_key_material({keys_.pub, keys_.prv}));
+  }
+  /// Registration, echoing the client's own one-hot registry back as R_A:
+  /// its category is then the only one, with one member, so the Eq. 6
+  /// probability is 1 and the client volunteers for every try.
+  void register_alone() {
+    send(net::make_seed_request(net::MsgType::kRegistrationRequest,
+                                {core::registration_stream_seed(kSessionSeed, kClient), 0}));
+    const net::Frame up = recv(net::MsgType::kRegistryUpload);
+    send(net::Frame{net::MsgType::kRegistryBroadcast, up.payload});
+  }
+  std::vector<std::uint8_t> begin_round(std::uint64_t r) {
+    send(net::make_round_begin({r}));
+    return net::parse_participation(recv(net::MsgType::kParticipation)).draws;
+  }
+  std::uint64_t derived_seed(std::uint64_t r, std::uint32_t h) const {
+    return core::distribution_stream_seed(kSessionSeed, 4, r * params_.H + h, kClient);
+  }
+  /// Requests try `tag` under `seed`; returns the upload's payload.
+  std::vector<std::uint8_t> request(std::uint32_t tag, std::uint64_t seed) {
+    send(net::make_seed_request(net::MsgType::kDistributionRequest, {seed, tag}));
+    return recv(net::MsgType::kDistributionUpload).payload;
+  }
+  std::vector<std::uint8_t> fresh(std::uint64_t seed) const {
+    const fl::Client c(kClient, {dataset_.client_samples(kClient).begin(),
+                                 dataset_.client_samples(kClient).end()},
+                       &dataset_);
+    bigint::Xoshiro256ss rng(seed);
+    return net::make_encrypted_vector(
+               net::MsgType::kDistributionUpload,
+               he::PackedEncryptedVector::encrypt(
+                   keys_.prv.public_key(), core::packed_codec(params_.secure),
+                   core::quantize_distribution(c.label_distribution(),
+                                               params_.secure.fixed_point_scale),
+                   rng))
+        .payload;
+  }
+  /// Ends the session with a kShutdown, by closing the root's end, or by
+  /// waiting for the client to fail on its own; returns what serve_client
+  /// threw, if anything.
+  enum class End { kShutdown, kHangUp, kWait };
+  std::exception_ptr end(End how) {
+    if (how == End::kShutdown) send(net::make_shutdown());
+    if (how == End::kWait) {
+      // The client must fail without answering: the next thing the root
+      // sees is its hang-up, not a frame.
+      try {
+        const auto f = root_->receive(std::chrono::seconds(30));
+        EXPECT_FALSE(f.has_value()) << "client answered with " << to_string(f->type);
+      } catch (const net::TransportTimeout&) {
+        ADD_FAILURE() << "client neither answered nor hung up";
+      }
+    }
+    root_->close();
+    worker_.join();
+    return error_;
+  }
+
+  const net::SessionParams& params() const { return params_; }
+
+ private:
+  static constexpr std::uint64_t kSessionSeed = 0x5eed;
+  data::FederatedDataset dataset_;
+  nn::Sequential proto_;
+  net::SessionParams params_;
+  he::Keypair keys_;
+  std::shared_ptr<net::Transport> root_, client_;
+  std::uint16_t seq_ = 0;
+  std::exception_ptr error_;
+  std::thread worker_;
+};
+
+TEST(NetRound, ClientAnswersEveryDistributionRequestWithItsOwnSeed) {
+  // Speculation may only ever change when an upload is computed, never its
+  // bytes: each answer equals a fresh encryption under the request's seed,
+  // whether the request hits a speculated try (derived seed), names a
+  // volunteered try under another seed, or carries a tag outside [0, H).
+  ScriptedRoot root;
+  root.keys();
+  root.register_alone();
+  const std::uint32_t H = static_cast<std::uint32_t>(root.params().H);
+  for (std::uint64_t r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r);
+    const auto draws = root.begin_round(r);
+    ASSERT_EQ(draws, std::vector<std::uint8_t>(H, 1));
+    EXPECT_EQ(root.request(0, root.derived_seed(r, 0)), root.fresh(root.derived_seed(r, 0)));
+    const std::uint64_t foreign = root.derived_seed(r, 1) ^ 0x9e3779b97f4a7c15ull;
+    EXPECT_EQ(root.request(1, foreign), root.fresh(foreign));
+    EXPECT_EQ(root.request(2, root.derived_seed(r, 2)), root.fresh(root.derived_seed(r, 2)));
+    // A repeated request for a try whose speculation was already taken.
+    EXPECT_EQ(root.request(2, root.derived_seed(r, 2)), root.fresh(root.derived_seed(r, 2)));
+    EXPECT_EQ(root.request(H, root.derived_seed(r, 1)), root.fresh(root.derived_seed(r, 1)));
+  }
+  EXPECT_EQ(root.end(ScriptedRoot::End::kShutdown), nullptr);
+}
+
+TEST(NetRound, ClientRejectsDistributionRequestBeforeTheFirstRound) {
+  ScriptedRoot root;
+  root.keys();
+  root.register_alone();
+  root.send(net::make_seed_request(net::MsgType::kDistributionRequest,
+                                   {root.derived_seed(0, 0), 0}));
+  const std::exception_ptr err = root.end(ScriptedRoot::End::kWait);
+  ASSERT_NE(err, nullptr);
+  EXPECT_THROW(std::rethrow_exception(err), net::TransportError);
+}
+
+TEST(NetRound, ClientExitsCleanlyWithSpeculationInFlight) {
+  // The root hangs up right after the participation, while the client's
+  // worker is still encrypting tries 1 and 2: serve_client fails with a
+  // typed error and joins the worker on its way out (TSan and ASan runs of
+  // this suite check that nothing outlives it).
+  ScriptedRoot root;
+  root.keys();
+  root.register_alone();
+  (void)root.begin_round(0);
+  const std::exception_ptr err = root.end(ScriptedRoot::End::kHangUp);
+  ASSERT_NE(err, nullptr);
+  EXPECT_THROW(std::rethrow_exception(err), net::TransportError);
+}
+
+TEST(NetRound, SpeculationCountersCoverEveryRequestServed) {
+  const auto dataset = make_dataset(6);
+  const auto proto = nn::make_mlp(dataset.feature_dim(), 16, 10, 7);
+  auto params = make_params(2, 3);
+  params.evaluate = false;
+  const std::string on_demand =
+      "dubhe_client_distribution_encrypt_total{source=\"on_demand\"}";
+  const std::string speculative =
+      "dubhe_client_distribution_encrypt_total{source=\"speculative\"}";
+
+  telemetry::reset_all();
+  telemetry::set_enabled(true);
+  const auto t = net::run_loopback_session(dataset, proto, params);
+  telemetry::set_enabled(false);
+  ASSERT_TRUE(t.quarantined.empty());
+  // Fault-free, each of the R rounds asks K clients for each of H tries.
+  EXPECT_EQ(telemetry::counter(on_demand).value() + telemetry::counter(speculative).value(),
+            params.rounds * params.H * params.K);
+  // Try 0 is always encrypted on demand; in this seeded session some later
+  // try hits a speculated upload.
+  EXPECT_GE(telemetry::counter(on_demand).value(), params.rounds * params.K);
+  EXPECT_GT(telemetry::counter(speculative).value(), 0u);
   telemetry::reset_all();
 }
 

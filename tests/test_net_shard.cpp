@@ -414,6 +414,16 @@ TEST(ShardSlice, RejectsRequestsTheRootCouldNeverSend) {
   EXPECT_EQ(pp.try_index, H - 1);
   EXPECT_TRUE(pp.failed);
   EXPECT_EQ(pp.contributors, 0u);
+
+  // The halves the flat root drives one by one: a try whose requests are
+  // out must be collected before the next request is issued.
+  slice.issue(net::make_shard_try_begin({0, 0, {1}}));
+  EXPECT_EQ(code_of([&] { slice.issue(net::make_shard_try_begin({0, 1, {2}})); }),
+            WireErrc::kBadPayload);
+  const auto collected = slice.collect();
+  ASSERT_TRUE(collected);
+  EXPECT_EQ(net::parse_partial_population(*collected).try_index, 0u);
+  EXPECT_FALSE(slice.collect());
 }
 
 TEST(ShardTree, RejectsInvalidTopologies) {

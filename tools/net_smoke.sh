@@ -92,49 +92,58 @@ echo "== transcript check (packed + he-rate 0.5, multi-process vs in-process) ==
 diff "$TMP/server_he.txt" "$TMP/selftest_he.txt"
 echo "net smoke OK: selective-encryption session transcripts are byte-identical"
 
-# Third leg: churn. Client 1 runs a scripted fault plan that kills it on its
-# second participation frame (round 1). The session must still complete all
-# rounds over the two survivors, the server transcript must carry exactly
-# the typed quarantine record, and — because faults trigger on frame
-# content, never timing — the multi-process transcript must be byte-equal
-# to the in-process churn selftest (loopback == TCP) under the same plan.
+# Third leg: churn. Client 1 runs a scripted fault plan that kills it
+# mid-session. The session must still complete all rounds over the two
+# survivors, the server transcript must carry exactly the typed quarantine
+# record, and — because faults trigger on frame content, never timing — the
+# multi-process transcript must be byte-equal to the in-process churn
+# selftest (loopback == TCP) under the same plan. Every process must exit.
+# Usage: churn_run PLAN EXPECTED_RECORD NAME
+churn_run() {
+  echo "== dubhe_node churn smoke (client 1 dies mid-session: $1) =="
+  rm -f "$TMP/port"
+  "$NODE" --server --clients 3 --rounds "$ROUNDS" --workers 2 --port 0 \
+          --port-file "$TMP/port" --transcript "$TMP/server_$3.txt" &
+  SERVER_PID=$!
+  PIDS="$SERVER_PID"
+
+  CLIENT_PIDS=""
+  for i in 0 1 2; do
+    if [ "$i" = 1 ]; then
+      "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
+              --fault-plan "$1" --port-file "$TMP/port" &
+    else
+      "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
+              --port-file "$TMP/port" &
+    fi
+    CLIENT_PIDS="$CLIENT_PIDS $!"
+    PIDS="$PIDS $!"
+  done
+
+  # The faulty client exits 0 too: its scripted death is the plan working.
+  for pid in $CLIENT_PIDS; do
+    wait "$pid" || { echo "error: a client process failed ($3 leg)" >&2; exit 1; }
+  done
+  wait "$SERVER_PID" || { echo "error: the server process failed ($3 leg)" >&2; exit 1; }
+  PIDS=""
+
+  "$NODE" --selftest --clients 3 --rounds "$ROUNDS" --fault-plan "$1" \
+          --fault-client 1 --transcript "$TMP/selftest_$3.txt" > /dev/null
+
+  echo "== transcript check ($3, multi-process vs in-process) =="
+  diff "$TMP/server_$3.txt" "$TMP/selftest_$3.txt"
+  grep -q "$2" "$TMP/server_$3.txt" || {
+    echo "error: expected quarantine record missing from $3 transcript" >&2; exit 1; }
+  echo "net smoke OK: $3 session survived, quarantine records are byte-identical"
+}
+# Dies on its second participation frame (round 1).
 PLAN="disconnect@participation:1"
-echo "== dubhe_node churn smoke (client 1 dies mid-session: $PLAN) =="
-rm -f "$TMP/port"
-"$NODE" --server --clients 3 --rounds "$ROUNDS" --workers 2 --port 0 \
-        --port-file "$TMP/port" --transcript "$TMP/server_churn.txt" &
-SERVER_PID=$!
-PIDS="$SERVER_PID"
-
-CLIENT_PIDS=""
-for i in 0 1 2; do
-  if [ "$i" = 1 ]; then
-    "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
-            --fault-plan "$PLAN" --port-file "$TMP/port" &
-  else
-    "$NODE" --client --id "$i" --clients 3 --rounds "$ROUNDS" \
-            --port-file "$TMP/port" &
-  fi
-  CLIENT_PIDS="$CLIENT_PIDS $!"
-  PIDS="$PIDS $!"
-done
-
-# The faulty client exits 0 too: its scripted death is the plan working.
-for pid in $CLIENT_PIDS; do
-  wait "$pid" || { echo "error: a client process failed (churn leg)" >&2; exit 1; }
-done
-wait "$SERVER_PID" || { echo "error: the server process failed (churn leg)" >&2; exit 1; }
-PIDS=""
-
-"$NODE" --selftest --clients 3 --rounds "$ROUNDS" --fault-plan "$PLAN" \
-        --fault-client 1 --transcript "$TMP/selftest_churn.txt" > /dev/null
-
-echo "== transcript check (churn, multi-process vs in-process) =="
-diff "$TMP/server_churn.txt" "$TMP/selftest_churn.txt"
-grep -q "quarantined=client:1 round:1 phase:participation reason:disconnect" \
-  "$TMP/server_churn.txt" || {
-  echo "error: expected quarantine record missing from churn transcript" >&2; exit 1; }
-echo "net smoke OK: churn session survived, quarantine records are byte-identical"
+churn_run "$PLAN" "quarantined=client:1 round:1 phase:participation reason:disconnect" churn
+# Dies on its second distribution upload (round 0, try 1), while the
+# encryption of a later try it volunteered for may still be running in the
+# background.
+churn_run "disconnect@distribution:1" \
+  "quarantined=client:1 round:0 phase:distribution reason:disconnect" churn_distribution
 
 # Fourth leg: live metrics. The server exposes the /metrics admin endpoint
 # (--metrics-port 0 = ephemeral, published via --metrics-port-file) and
