@@ -1,11 +1,5 @@
 #include "net/node.hpp"
 
-#ifdef __linux__
-#include <sys/resource.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-#endif
-
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -134,13 +128,6 @@ class Speculation {
   };
 
   void run() {
-#ifdef __linux__
-    // Speculative work must never delay demanded work: where clients share
-    // a host with each other or with the aggregator, an on-demand
-    // encryption or the agent's decryption takes the core first. Linux
-    // applies a nice value to the calling thread alone.
-    (void)setpriority(PRIO_PROCESS, static_cast<id_t>(syscall(SYS_gettid)), 19);
-#endif
     for (Slot& s : slots_) {
       if (cancel_) return;
       try {
