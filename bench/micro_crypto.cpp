@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <map>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "bigint/montgomery.hpp"
@@ -68,22 +67,6 @@ void BM_MontgomeryPow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MontgomeryPow)->Arg(1024)->Arg(2048)->Arg(4096)->Unit(benchmark::kMillisecond);
-
-void BM_FixedBasePow(benchmark::State& state) {
-  // Same shape as BM_MontgomeryPow but through a precomputed comb table:
-  // no squarings, one multiplication per non-zero 4-bit exponent window.
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  bigint::Xoshiro256ss rng(bits + 2);
-  const BigUint m = odd_random(rng, bits);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  const BigUint base = bigint::random_below(rng, m);
-  const BigUint exp = bigint::random_exact_bits(rng, bits);
-  const bigint::FixedBaseTable table(ctx, base, bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.pow(exp));
-  }
-}
-BENCHMARK(BM_FixedBasePow)->Arg(1024)->Arg(2048)->Arg(4096)->Unit(benchmark::kMillisecond);
 
 void BM_GenericPowModEvenModulus(benchmark::State& state) {
   // The non-Montgomery fallback, for contrast with BM_MontgomeryPow.
@@ -226,12 +209,10 @@ void print_ops_table() {
   const he::Ciphertext ct_b = kp.pub.encrypt(BigUint{654321}, rng);
   const BigUint scalar{0x1234567890abcdefULL};
 
-  // The three noise paths: the public key alone (what a party without the
-  // private key runs), the key holder's CRT path (kp.pub carries the
-  // factorization), and a copy with the fixed-base noise table.
+  // The two noise paths: the public key alone (what a party without the
+  // private key runs) and the key holder's CRT path (kp.pub carries the
+  // factorization).
   const he::PublicKey pub_only(kp.pub.n());
-  he::PublicKey pub_fb = kp.pub;
-  pub_fb.precompute_noise(rng);
 
   struct Row {
     const char* op;
@@ -244,8 +225,6 @@ void print_ops_table() {
        time_op([&] { benchmark::DoNotOptimize(pub_only.encrypt(BigUint{1}, rng)); })},
       {"encrypt (key holder, CRT)",
        time_op([&] { benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{1}, rng)); })},
-      {"encrypt (fixed-base)",
-       time_op([&] { benchmark::DoNotOptimize(pub_fb.encrypt(BigUint{1}, rng)); })},
       {"paillier decrypt (CRT)",
        time_op([&] { benchmark::DoNotOptimize(kp.prv.decrypt(ct_a)); })},
       {"homomorphic add",
@@ -264,19 +243,14 @@ void print_ops_table() {
 }
 
 /// Batch-encryption throughput over the shared runtime: serial legacy loop
-/// versus encrypt_batch at 1/2/4/8 threads, with and without the fixed-base
-/// noise table. Slot ops/sec is the comparable unit (slots per second of a
-/// 32-slot vector). Thread scaling tops out at the machine's core count —
-/// the table records whatever this host offers.
+/// versus encrypt_batch at 1/2/4/8 threads. Slot ops/sec is the comparable
+/// unit (slots per second of a 32-slot vector). Thread scaling tops out at
+/// the machine's core count — the table records whatever this host offers.
 void print_batch_table() {
   constexpr std::size_t kKeyBits = 2048;
   constexpr std::size_t kSlots = 32;
   const he::Keypair& kp = keypair(kKeyBits);
   bigint::Xoshiro256ss rng(43);
-
-  he::PublicKey pub_fb = kp.pub;
-  pub_fb.precompute_noise(rng);
-
   const std::vector<std::uint64_t> values(kSlots, 123456);
 
   std::printf("== batch encrypt throughput (key_bits = %zu, %zu slots/vector) ==\n",
@@ -292,16 +266,12 @@ void print_batch_table() {
              benchmark::DoNotOptimize(kp.pub.encrypt(BigUint{v}, rng));
            }
          }));
-  const std::pair<const char*, const he::PublicKey*> modes[] = {
-      {"encrypt_batch", &kp.pub}, {"encrypt_batch + fixed-base", &pub_fb}};
-  for (const auto& [mode, pub] : modes) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                                      std::size_t{8}}) {
-      report(mode, threads, time_op([&] {
-               benchmark::DoNotOptimize(he::EncryptedVector::encrypt(
-                   *pub, values, rng, {.threads = threads}));
-             }));
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
+                                    std::size_t{8}}) {
+    report("encrypt_batch", threads, time_op([&] {
+             benchmark::DoNotOptimize(he::EncryptedVector::encrypt(
+                 kp.pub, values, rng, {.threads = threads}));
+           }));
   }
   std::printf("(runtime workers: %zu)\n\n",
               core::ParallelRuntime::instance().worker_count());

@@ -1,6 +1,5 @@
 #include "bigint/montgomery.hpp"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <utility>
@@ -163,56 +162,6 @@ BigUint Montgomery::pow(const BigUint& base, const BigUint& exp) const {
     }
   }
   return from_mont_limbs(acc, tmp, t);
-}
-
-FixedBaseTable::FixedBaseTable(std::shared_ptr<const Montgomery> ctx,
-                               const BigUint& base, std::size_t max_exp_bits)
-    : ctx_(std::move(ctx)), max_exp_bits_(max_exp_bits) {
-  if (!ctx_) throw std::invalid_argument("FixedBaseTable: null context");
-  if (max_exp_bits == 0) {
-    throw std::invalid_argument("FixedBaseTable: zero exponent width");
-  }
-  s_ = ctx_->s_;
-  const std::size_t windows = (max_exp_bits + kWindowBits - 1) / kWindowBits;
-  entries_.resize(windows * 15 * s_);
-
-  std::vector<Limb> t(s_ + 2), tmp(s_);
-  // bw = base^(16^w) in Montgomery form, starting from w = 0.
-  std::vector<Limb> bw(s_);
-  ctx_->to_mont_limbs(base % ctx_->n_, bw.data(), t.data());
-  for (std::size_t w = 0; w < windows; ++w) {
-    Limb* row = entries_.data() + w * 15 * s_;
-    std::copy(bw.begin(), bw.end(), row);  // digit 1
-    for (unsigned d = 2; d <= 15; ++d) {
-      ctx_->cios(row + (d - 2) * s_, bw.data(), row + (d - 1) * s_, t.data());
-    }
-    if (w + 1 < windows) {
-      for (int sq = 0; sq < 4; ++sq) {  // bw <- bw^16
-        ctx_->cios(bw.data(), bw.data(), tmp.data(), t.data());
-        bw.swap(tmp);
-      }
-    }
-  }
-}
-
-BigUint FixedBaseTable::pow(const BigUint& exp) const {
-  const std::size_t nbits = exp.bit_length();
-  if (nbits > max_exp_bits_) {
-    throw std::out_of_range("FixedBaseTable: exponent exceeds table width");
-  }
-  if (exp.is_zero()) return BigUint{1} % ctx_->n_;
-
-  std::vector<Limb> t(s_ + 2), tmp(s_);
-  std::vector<Limb> acc = ctx_->padded(ctx_->one_mont_);
-  const std::size_t windows = (nbits + kWindowBits - 1) / kWindowBits;
-  for (std::size_t w = 0; w < windows; ++w) {
-    const unsigned idx = Montgomery::window4(exp, w);
-    if (idx != 0) {
-      ctx_->cios(acc.data(), entry(w, idx), tmp.data(), t.data());
-      acc.swap(tmp);
-    }
-  }
-  return ctx_->from_mont_limbs(acc, tmp, t);
 }
 
 }  // namespace dubhe::bigint

@@ -19,7 +19,10 @@ namespace dubhe::core {
 /// slots carries ~63 logical values per ciphertext, so registry and
 /// distribution frames are ~50x smaller. The paper's per-slot layout is
 /// still measured where it is reproduced — bench/overhead_sec64 and the
-/// bench/micro_crypto ablation use he::EncryptedVector directly.
+/// bench/micro_crypto ablation use he::EncryptedVector directly. Every
+/// session encryption draws python-paillier's uniform noise r^n, computed
+/// by CRT because every party holds the private key (see
+/// he::PublicKey::rerandomize); no setting here changes the noise model.
 struct SecureConfig {
   std::size_t key_bits = 2048;
   /// Slot width of the packed ciphertexts. 32 bits holds fixed-point distribution sums
@@ -37,17 +40,6 @@ struct SecureConfig {
   /// under its own seed-derived randomness (and each slot under a per-slot
   /// derived stream — see he::BatchOptions).
   std::size_t encrypt_threads = 1;
-  /// Build the session key's fixed-base noise table
-  /// (he::PublicKey::precompute_noise) right after keygen, making every
-  /// encryption in the session ~3x cheaper at 2048-bit keys than the
-  /// default key-holder CRT path (~10x cheaper than a public key alone).
-  /// Off by default because it also changes the noise model — uniform r^n
-  /// (which the CRT path keeps, byte for byte) becomes DJN-style (h^n)^x, a
-  /// statistical→computational randomization trade — and that should be an
-  /// explicit opt-in, not a silent default.
-  /// Deterministic given the session RNG; thread-count invariance holds
-  /// either way.
-  bool use_fixed_base = false;
   /// Fraction of model-update coordinates shipped encrypted (top-k by
   /// global-weight magnitude, see core/selective.hpp). 0 keeps today's
   /// plaintext kModelUpdate path bit-for-bit; 1 encrypts every coordinate

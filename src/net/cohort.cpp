@@ -1,5 +1,6 @@
 #include "net/cohort.hpp"
 
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -162,6 +163,17 @@ SessionTranscript run_harness(const char* who, const data::FederatedDataset& dat
   }
   std::vector<std::exception_ptr> shard_errors(h.shards.size());
   std::vector<std::exception_ptr> client_errors(N);
+  // Faulty endpoints, closed once the aggregator is done: a client still
+  // inside an injected straggle then stops waiting, so the joins below end
+  // with the session instead of with the straggle.
+  std::mutex faulty_m;
+  std::vector<std::shared_ptr<Transport>> faulty_endpoints;
+  bool session_over = false;
+  const auto close_faulty = [&] {
+    std::lock_guard lock(faulty_m);
+    session_over = true;
+    for (const auto& endpoint : faulty_endpoints) endpoint->close();
+  };
   std::vector<std::thread> threads;
   threads.reserve(h.shards.size() + N);
   for (std::size_t s = 0; s < h.shards.size(); ++s) {
@@ -180,7 +192,12 @@ SessionTranscript run_harness(const char* who, const data::FederatedDataset& dat
       try {
         link = h.client_link(id);
         std::shared_ptr<Transport> endpoint = link;
-        if (faulty) endpoint = std::make_shared<FaultyTransport>(link, plans[id]);
+        if (faulty) {
+          endpoint = std::make_shared<FaultyTransport>(link, plans[id]);
+          std::lock_guard lock(faulty_m);
+          if (session_over) endpoint->close();
+          faulty_endpoints.push_back(endpoint);
+        }
         serve_client(*endpoint, id, dataset, prototype, params);
       } catch (...) {
         if (!faulty) client_errors[id] = std::current_exception();
@@ -193,9 +210,11 @@ SessionTranscript run_harness(const char* who, const data::FederatedDataset& dat
     t = h.drive();
   } catch (...) {
     h.abort();
+    close_faulty();
     for (auto& th : threads) th.join();
     throw;
   }
+  close_faulty();
   for (auto& th : threads) th.join();
   // Shards are infrastructure: their failure outranks any client's.
   for (auto& err : shard_errors) {

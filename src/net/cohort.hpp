@@ -81,15 +81,6 @@ class ServerCohort {
 
   [[nodiscard]] bool alive(std::size_t id) const { return links_[id].t != nullptr; }
 
-  [[nodiscard]] std::vector<std::size_t> alive_ids() const {
-    std::vector<std::size_t> ids;
-    ids.reserve(links_.size());
-    for (std::size_t id = 0; id < links_.size(); ++id) {
-      if (alive(id)) ids.push_back(id);
-    }
-    return ids;
-  }
-
   void quarantine(std::uint64_t id, std::uint64_t round, SessionPhase phase,
                   QuarantineReason reason);
 
@@ -270,8 +261,10 @@ struct Harness {
 /// link, the aggregator's failure aborts and joins before rethrowing, and after
 /// a clean drive the first shard error, then the first honest client's, is
 /// rethrown. A faulty client's death is expected and swallowed (its
-/// quarantine record is the observable outcome). `plans` is empty or has
-/// one plan per client; `who` names the caller in errors.
+/// quarantine record is the observable outcome), and its endpoint is closed
+/// once the aggregator returns, so a straggle longer than the session ends
+/// with it. `plans` is empty or has one plan per client; `who` names the
+/// caller in errors.
 SessionTranscript run_harness(const char* who, const data::FederatedDataset& dataset,
                               const nn::Sequential& prototype, const SessionParams& params,
                               std::span<const FaultPlan> plans, const Harness& h);

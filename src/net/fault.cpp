@@ -1,7 +1,6 @@
 #include "net/fault.hpp"
 
 #include <stdexcept>
-#include <thread>
 
 namespace dubhe::net {
 
@@ -110,10 +109,15 @@ void FaultyTransport::send(const Frame& frame) {
     case FaultKind::kDisconnect:
       inner_->close();
       throw TransportError("fault: injected disconnect at " + to_string(frame.type));
-    case FaultKind::kStraggle:
-      std::this_thread::sleep_for(plan_.delay);
+    case FaultKind::kStraggle: {
+      std::unique_lock lock(m_);
+      if (cv_.wait_for(lock, plan_.delay, [this] { return closed_; })) {
+        throw TransportError("fault: link closed during an injected straggle");
+      }
+      lock.unlock();
       inner_->send(frame);
       return;
+    }
     case FaultKind::kCorrupt: {
       // Flip the MSB of the first payload byte: breaks the self-tag of an
       // encrypted payload and corrupts the id/seed field of every plain
@@ -144,6 +148,15 @@ void FaultyTransport::send(const Frame& frame) {
       inner_->send(frame);
       return;
   }
+}
+
+void FaultyTransport::close() {
+  {
+    std::lock_guard lock(m_);
+    closed_ = true;
+  }
+  cv_.notify_all();
+  inner_->close();
 }
 
 std::optional<Frame> FaultyTransport::receive(std::chrono::milliseconds deadline) {

@@ -1,8 +1,10 @@
 #pragma once
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -16,7 +18,7 @@ namespace dubhe::net {
 enum class FaultKind : std::uint8_t {
   kNone = 0,    // plan disabled: the decorator is a transparent pass-through
   kDisconnect,  // close the channel instead of sending the trigger frame
-  kStraggle,    // delay the trigger frame by `delay` before sending it
+  kStraggle,    // delay the trigger frame by `delay` (cut short by close())
   kCorrupt,     // flip the trigger frame's first payload byte (MSB)
   kReplay,      // send the trigger frame twice (same sequence number)
   kTruncate,    // send the trigger frame with its payload cut in half
@@ -62,7 +64,9 @@ class FaultyTransport final : public Transport {
   void send(const Frame& frame) override;
   std::optional<Frame> receive(std::chrono::milliseconds deadline) override;
   using Transport::receive;
-  void close() override { inner_->close(); }
+  /// Closes the inner link and ends an injected straggle early: a send
+  /// blocked in its delay throws TransportError instead of sending.
+  void close() override;
   [[nodiscard]] std::string peer_name() const override { return inner_->peer_name(); }
 
  private:
@@ -71,6 +75,9 @@ class FaultyTransport final : public Transport {
   std::shared_ptr<Transport> inner_;
   FaultPlan plan_;
   std::size_t matches_ = 0;
+  std::mutex m_;  // guards closed_; close() may run on another thread
+  std::condition_variable cv_;
+  bool closed_ = false;
 };
 
 }  // namespace dubhe::net

@@ -41,28 +41,24 @@ struct FactorContext {
 namespace {
 
 /// Which noise path an encryption took; a label of the encrypt metrics.
-enum class NoisePath { kFixedBase, kCrt, kPlain };
+enum class NoisePath { kCrt, kPlain };
 
 /// Crypto-op telemetry (counts + latency histograms per noise path).
 /// Out-of-band: no RNG or ciphertext state is touched, so instrumented and
 /// uninstrumented runs are byte-identical.
 telemetry::Histogram& encrypt_hist(NoisePath path) {
-  static telemetry::Histogram& fb = telemetry::histogram(
-      "dubhe_paillier_encrypt_seconds{mode=\"fixed_base\"}");
   static telemetry::Histogram& crt =
       telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"crt\"}");
   static telemetry::Histogram& plain =
       telemetry::histogram("dubhe_paillier_encrypt_seconds{mode=\"plain\"}");
-  return path == NoisePath::kFixedBase ? fb : path == NoisePath::kCrt ? crt : plain;
+  return path == NoisePath::kCrt ? crt : plain;
 }
 telemetry::Counter& encrypt_count(NoisePath path) {
-  static telemetry::Counter& fb =
-      telemetry::counter("dubhe_paillier_encrypt_total{mode=\"fixed_base\"}");
   static telemetry::Counter& crt =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"crt\"}");
   static telemetry::Counter& plain =
       telemetry::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
-  return path == NoisePath::kFixedBase ? fb : path == NoisePath::kCrt ? crt : plain;
+  return path == NoisePath::kCrt ? crt : plain;
 }
 
 }  // namespace
@@ -85,9 +81,7 @@ Ciphertext PublicKey::encrypt_deterministic(const BigUint& m) const {
 }
 
 Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) const {
-  const NoisePath path = noise_table_ != nullptr ? NoisePath::kFixedBase
-                         : factors_ != nullptr  ? NoisePath::kCrt
-                                                : NoisePath::kPlain;
+  const NoisePath path = factors_ != nullptr ? NoisePath::kCrt : NoisePath::kPlain;
   encrypt_count(path).inc();
   telemetry::ScopedTimer timer(encrypt_hist(path));
   Ciphertext gm = encrypt_deterministic(m);
@@ -96,14 +90,7 @@ Ciphertext PublicKey::encrypt(const BigUint& m, bigint::EntropySource& rng) cons
 
 Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const {
   BigUint rn;
-  if (noise_table_ != nullptr) {
-    // Fixed-base path: noise = (h^n)^x, one table product per 4 bits of x.
-    BigUint x;
-    do {
-      x = bigint::random_bits(rng, noise_bits_);
-    } while (x.is_zero());
-    rn = noise_table_->pow(x);
-  } else if (factors_ != nullptr) {
+  if (factors_ != nullptr) {
     // Key-holder path: the public path's draws and acceptance, r^n by CRT.
     BigUint rp, rq;
     do {
@@ -120,18 +107,6 @@ Ciphertext PublicKey::rerandomize(const Ciphertext& a, bigint::EntropySource& rn
     rn = mont_n2_->pow(r, n_);
   }
   return Ciphertext{a.c.mul_mod(rn, n_sq_)};
-}
-
-void PublicKey::precompute_noise(bigint::EntropySource& rng, std::size_t noise_bits) {
-  if (n_.is_zero()) throw std::logic_error("Paillier: empty public key");
-  noise_bits_ = noise_bits == 0 ? key_bits() / 2 : noise_bits;
-  BigUint h;
-  do {
-    h = bigint::random_below(rng, n_sq_);
-  } while (h.is_zero() || h.is_one() || !BigUint::gcd(h, n_).is_one());
-  const BigUint hn = mont_n2_->pow(h, n_);
-  noise_table_ =
-      std::make_shared<bigint::FixedBaseTable>(mont_n2_, hn, noise_bits_);
 }
 
 std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
@@ -155,17 +130,6 @@ std::vector<Ciphertext> PublicKey::encrypt_batch(std::span<const BigUint> ms,
   core::parallel_for(ms.size(), opt.threads, [&](std::size_t i) {
     bigint::Xoshiro256ss stream(bigint::derive_seed(seed, i));
     out[i] = encrypt(ms[i], stream);
-  });
-  return out;
-}
-
-std::vector<Ciphertext> PublicKey::rerandomize_batch(std::span<const Ciphertext> cts,
-                                                     std::uint64_t seed,
-                                                     const BatchOptions& opt) const {
-  std::vector<Ciphertext> out(cts.size());
-  core::parallel_for(cts.size(), opt.threads, [&](std::size_t i) {
-    bigint::Xoshiro256ss stream(bigint::derive_seed(seed, i));
-    out[i] = rerandomize(cts[i], stream);
   });
   return out;
 }

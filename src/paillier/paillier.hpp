@@ -72,9 +72,9 @@ class PublicKey {
   /// Re-randomizes a ciphertext (multiplies by a fresh encryption of zero),
   /// unlinking it from its origin without changing the plaintext.
   ///
-  /// The noise r^n mod n^2 comes from the first available of: the
-  /// fixed-base table (precompute_noise), the factor context (keys exposed
-  /// by a PrivateKey), or a direct pow mod n^2 (the public path). The CRT path
+  /// The noise r^n mod n^2 comes from the factor context when the key was
+  /// exposed by a PrivateKey (the CRT path), else from a direct pow mod n^2
+  /// with r uniform in Z*_n (the public path). The CRT path
   /// draws the same r from the same RNG calls, accepts it under the
   /// equivalent test r mod p != 0 and r mod q != 0 (= gcd(r, n) == 1), and
   /// computes r^n mod p^2 as ((r mod p)^(q mod (p-1)) mod p)^p mod p^2 (the
@@ -84,20 +84,6 @@ class PublicKey {
   /// third of the cost.
   [[nodiscard]] Ciphertext rerandomize(const Ciphertext& a, bigint::EntropySource& rng) const;
 
-  /// Precomputes the fixed-base noise table (DJN-style shortcut): samples a
-  /// unit h of Z*_{n^2}, fixes h_n = h^n mod n^2, and builds a
-  /// bigint::FixedBaseTable for h_n. Afterwards encrypt/rerandomize obtain
-  /// their noise as h_n^x for a fresh `noise_bits`-bit x — one table lookup
-  /// product per 4 exponent bits, no squarings — instead of computing r^n
-  /// (~3x faster than the CRT path, ~10x faster than the public path at
-  /// the paper's 2048-bit keys; the table takes precedence over both). The
-  /// noise then ranges over the cyclic subgroup <h^n> rather than all n-th
-  /// residues, the standard Damgård–Jurik–Nielsen trade (computationally, not
-  /// statistically, indistinguishable randomization). noise_bits == 0 picks
-  /// key_bits / 2. The table is never serialized; re-enable it after
-  /// deserialize_public_key if wanted.
-  void precompute_noise(bigint::EntropySource& rng, std::size_t noise_bits = 0);
-  [[nodiscard]] bool has_noise_table() const { return noise_table_ != nullptr; }
   /// True when the key came from a PrivateKey and so encrypts by CRT.
   [[nodiscard]] bool has_factor_context() const { return factors_ != nullptr; }
 
@@ -122,10 +108,6 @@ class PublicKey {
   [[nodiscard]] std::vector<Ciphertext> encrypt_batch(
       std::span<const BigUint> ms, std::uint64_t seed,
       const BatchOptions& opt = {}) const;
-  /// Batch re-randomization with the same per-item stream derivation.
-  [[nodiscard]] std::vector<Ciphertext> rerandomize_batch(
-      std::span<const Ciphertext> cts, std::uint64_t seed,
-      const BatchOptions& opt = {}) const;
 
   bool operator==(const PublicKey& o) const { return n_ == o.n_; }
 
@@ -135,11 +117,7 @@ class PublicKey {
   BigUint n_;
   BigUint n_sq_;
   std::shared_ptr<const bigint::Montgomery> mont_n2_;
-  /// Fixed-base table for h^n (shared across copies of the key; a PublicKey
-  /// copy is cheap even with the table enabled).
-  std::shared_ptr<const bigint::FixedBaseTable> noise_table_;
-  std::size_t noise_bits_ = 0;
-  /// Set only by PrivateKey; shared across copies like noise_table_.
+  /// Set only by PrivateKey; shared across copies of the key.
   std::shared_ptr<const FactorContext> factors_;
 };
 

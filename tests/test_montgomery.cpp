@@ -57,6 +57,19 @@ TEST(Montgomery, PowMatchesSquareAndMultiply) {
     const BigUint exp = random_bits(rng, 96);
     EXPECT_EQ(ctx.pow(base, exp), ref_pow(base, exp, m));
   }
+  // Moduli and exponents that are not limb multiples: 65 bits spills one
+  // bit into a second limb, 127 leaves the top limb one bit short.
+  for (const std::size_t mod_bits : {65u, 100u, 127u}) {
+    BigUint m = random_exact_bits(rng, mod_bits);
+    if (!m.is_odd()) m += BigUint{1};
+    const Montgomery ctx(m);
+    const BigUint base = random_below(rng, m);
+    for (const std::size_t exp_bits : {1u, 3u, 37u, 63u, 64u, 65u, 100u, 150u}) {
+      const BigUint exp = random_exact_bits(rng, exp_bits);
+      EXPECT_EQ(ctx.pow(base, exp), ref_pow(base, exp, m))
+          << "mod_bits=" << mod_bits << " exp_bits=" << exp_bits;
+    }
+  }
 }
 
 TEST(Montgomery, PowEdgeExponents) {

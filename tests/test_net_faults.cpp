@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <stdexcept>
 #include <vector>
 
@@ -166,12 +167,23 @@ TEST(NetFaults, ReplayedParticipationTripsSequenceCheck) {
 TEST(NetFaults, StragglerPastDeadlineTimesOut) {
   // The straggle delay (2000 ms) dwarfs the participation deadline (250 ms)
   // by 8x, so the timeout classification is stable under sanitizer
-  // slowdowns; no honest client sleeps, so the suite does not wait out the
-  // full delay anywhere but the straggler's own thread join.
+  // slowdowns. No honest client sleeps, and the harness closes the
+  // straggler's link when the session ends, which cuts the delay short.
   auto params = make_params(4);
   params.timeouts.upload = std::chrono::milliseconds(250);
   expect_quarantine("straggle@participation+2000", 1, 0, SessionPhase::kParticipation,
                     QuarantineReason::kTimeout, params);
+}
+
+TEST(NetFaults, StraggleFarPastTheSessionEndsWithIt) {
+  // A minute-long straggle: the same quarantine record, and both sessions
+  // return in seconds because closing the straggler's link ends its wait.
+  auto params = make_params(4);
+  params.timeouts.upload = std::chrono::milliseconds(250);
+  const auto t0 = std::chrono::steady_clock::now();
+  expect_quarantine("straggle@participation+60000", 1, 0, SessionPhase::kParticipation,
+                    QuarantineReason::kTimeout, params);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
 }
 
 // --- the distribution phase: K == N selects client 1 on every try, so

@@ -208,43 +208,19 @@ TEST(KeyHolderCrt, FactorsNeverReachTheWire) {
   EXPECT_TRUE(deserialize_private_key(serialize(kp.prv)).public_key().has_factor_context());
 }
 
-TEST(KeyHolderCrt, FixedBaseTableTakesPrecedence) {
-  bigint::Xoshiro256ss rng(42);
-  const Keypair kp = Keypair::generate(rng, 256);
-  PublicKey crt_fb = kp.pub;
-  PublicKey pub_fb(kp.pub.n());
-  bigint::Xoshiro256ss table_a(7), table_b(7);
-  crt_fb.precompute_noise(table_a);
-  pub_fb.precompute_noise(table_b);
-  for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    bigint::Xoshiro256ss a(seed), b(seed), c(seed);
-    const Ciphertext fb = crt_fb.encrypt(BigUint{seed}, a);
-    EXPECT_EQ(fb, pub_fb.encrypt(BigUint{seed}, b));  // the table's bytes
-    EXPECT_NE(fb, kp.pub.encrypt(BigUint{seed}, c));  // not the CRT path's
-    EXPECT_EQ(kp.prv.decrypt(fb), BigUint{seed});
-  }
-}
-
 TEST(KeyHolderCrt, EncryptMetricsNameThePath) {
   namespace tel = telemetry;
   bigint::Xoshiro256ss rng(43);
   const Keypair kp = Keypair::generate(rng, 128);
-  PublicKey fb = kp.pub;
-  fb.precompute_noise(rng);
   tel::Counter& crt = tel::counter("dubhe_paillier_encrypt_total{mode=\"crt\"}");
   tel::Counter& plain = tel::counter("dubhe_paillier_encrypt_total{mode=\"plain\"}");
-  tel::Counter& fixed =
-      tel::counter("dubhe_paillier_encrypt_total{mode=\"fixed_base\"}");
   tel::set_enabled(true);
-  const std::uint64_t crt0 = crt.value(), plain0 = plain.value(), fixed0 = fixed.value();
+  const std::uint64_t crt0 = crt.value(), plain0 = plain.value();
   (void)kp.pub.encrypt(BigUint{1}, rng);
   EXPECT_EQ(crt.value(), crt0 + 1);
   EXPECT_EQ(plain.value(), plain0);
   (void)PublicKey(kp.pub.n()).encrypt(BigUint{1}, rng);
   EXPECT_EQ(plain.value(), plain0 + 1);
-  EXPECT_EQ(crt.value(), crt0 + 1);
-  (void)fb.encrypt(BigUint{1}, rng);
-  EXPECT_EQ(fixed.value(), fixed0 + 1);
   EXPECT_EQ(crt.value(), crt0 + 1);
   tel::set_enabled(false);
 }

@@ -1,6 +1,6 @@
 // The shared crypto runtime: core::ParallelRuntime determinism, the batch
 // Paillier APIs' thread-count invariance (byte-identical ciphertexts for any
-// shard count), and FixedBaseTable agreement with plain Montgomery::pow.
+// shard count), and key-holder CRT batches matching the public path.
 // tools/ci.sh runs this suite under Release, ASan/UBSan (lifetime and UB
 // bugs), and a dedicated ThreadSanitizer pass (data races in the pool —
 // ASan cannot see those).
@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "bigint/montgomery.hpp"
 #include "bigint/random.hpp"
 #include "core/parallel.hpp"
 #include "core/registration.hpp"
@@ -87,53 +86,6 @@ TEST(DeriveSeed, StatsConventionMatchesBigintConvention) {
   EXPECT_NE(bigint::derive_seed(1, 0), bigint::derive_seed(2, 0));
 }
 
-// --- FixedBaseTable ----------------------------------------------------------
-
-BigUint odd_modulus(bigint::EntropySource& rng, std::size_t bits) {
-  BigUint m = bigint::random_exact_bits(rng, bits);
-  if (!m.is_odd()) m += BigUint{1};
-  return m;
-}
-
-TEST(FixedBaseTable, MatchesPlainPowAcrossWidths) {
-  bigint::Xoshiro256ss rng(7);
-  // Moduli and exponent widths deliberately include non-limb-multiple sizes.
-  for (const std::size_t mod_bits : {65u, 100u, 127u, 192u, 256u}) {
-    const BigUint m = odd_modulus(rng, mod_bits);
-    const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-    const BigUint base = bigint::random_below(rng, m);
-    const std::size_t max_bits = 150;
-    const bigint::FixedBaseTable table(ctx, base, max_bits);
-    for (const std::size_t exp_bits : {1u, 3u, 37u, 63u, 64u, 65u, 100u, 150u}) {
-      const BigUint exp = bigint::random_exact_bits(rng, exp_bits);
-      EXPECT_EQ(table.pow(exp), ctx->pow(base, exp))
-          << "mod_bits=" << mod_bits << " exp_bits=" << exp_bits;
-    }
-  }
-}
-
-TEST(FixedBaseTable, EdgeExponents) {
-  bigint::Xoshiro256ss rng(8);
-  const BigUint m = odd_modulus(rng, 128);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  const BigUint base = bigint::random_below(rng, m);
-  const bigint::FixedBaseTable table(ctx, base, 64);
-
-  EXPECT_EQ(table.pow(BigUint{}), BigUint{1} % m);          // exp = 0
-  EXPECT_EQ(table.pow(BigUint{1}), base % m);               // exp = 1
-  const BigUint full = bigint::random_exact_bits(rng, 64);  // exp at max width
-  EXPECT_EQ(table.pow(full), ctx->pow(base, full));
-  EXPECT_THROW(table.pow(BigUint::pow2(64)), std::out_of_range);
-}
-
-TEST(FixedBaseTable, RejectsBadConstruction) {
-  bigint::Xoshiro256ss rng(9);
-  const BigUint m = odd_modulus(rng, 100);
-  const auto ctx = std::make_shared<const bigint::Montgomery>(m);
-  EXPECT_THROW(bigint::FixedBaseTable(ctx, BigUint{2}, 0), std::invalid_argument);
-  EXPECT_THROW(bigint::FixedBaseTable(nullptr, BigUint{2}, 8), std::invalid_argument);
-}
-
 // --- batch Paillier APIs -----------------------------------------------------
 
 const he::Keypair& test_keypair() {
@@ -168,21 +120,6 @@ TEST(BatchPaillier, EncryptBatchIsThreadCountInvariant) {
   for (std::size_t i = 0; i < ms.size(); ++i) EXPECT_EQ(decrypted[i], ms[i]);
 }
 
-TEST(BatchPaillier, RerandomizeBatchKeepsPlaintextsAndIsInvariant) {
-  const he::Keypair& kp = test_keypair();
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  const auto cts = kp.pub.encrypt_batch(ms, 5, {});
-
-  const auto serial = kp.pub.rerandomize_batch(cts, 31, {.threads = 1});
-  const auto parallel = kp.pub.rerandomize_batch(cts, 31, {.threads = 7});
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_NE(serial[i], cts[i]);  // unlinked from the original
-    EXPECT_EQ(kp.prv.decrypt(serial[i]), ms[i]);
-  }
-}
-
 TEST(BatchPaillier, EncryptedVectorBytesAreThreadCountInvariant) {
   const he::Keypair& kp = test_keypair();
   const auto values = test_values();
@@ -208,44 +145,6 @@ TEST(BatchPaillier, PackedEncryptIsThreadCountInvariant) {
                                               {.threads = 7});
   EXPECT_EQ(a.decrypt(kp.prv), b.decrypt(kp.prv));
   EXPECT_EQ(a.decrypt(kp.prv, {.threads = 5}), values);
-}
-
-TEST(BatchPaillier, DirectEncryptionRoundTrips) {
-  // The full-entropy escape hatch: randomization drawn straight from rng.
-  const he::Keypair& kp = test_keypair();
-  const auto values = test_values();
-  bigint::Xoshiro256ss rng(77);
-  const auto v = he::EncryptedVector::encrypt_direct(kp.pub, values, rng);
-  EXPECT_EQ(v.decrypt(kp.prv), values);
-
-  const he::PackedCodec codec(kp.pub.key_bits() - 1, 16);
-  bigint::Xoshiro256ss rng2(78);
-  const auto p = he::PackedEncryptedVector::encrypt_direct(kp.pub, codec, values, rng2);
-  EXPECT_EQ(p.decrypt(kp.prv), values);
-}
-
-TEST(BatchPaillier, FixedBaseEncryptionRoundTripsAndStaysInvariant) {
-  he::Keypair kp = test_keypair();  // copy: enable the table on this copy only
-  bigint::Xoshiro256ss table_rng(321);
-  kp.pub.precompute_noise(table_rng);
-  ASSERT_TRUE(kp.pub.has_noise_table());
-
-  std::vector<BigUint> ms;
-  for (const auto v : test_values()) ms.emplace_back(v);
-  const auto serial = kp.pub.encrypt_batch(ms, 91, {.threads = 1});
-  const auto parallel = kp.pub.encrypt_batch(ms, 91, {.threads = 7});
-  EXPECT_EQ(serial, parallel);
-  for (std::size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(kp.prv.decrypt(serial[i]), ms[i]);
-  }
-
-  // Single-ciphertext path through the table.
-  bigint::Xoshiro256ss rng(17);
-  const he::Ciphertext ct = kp.pub.encrypt(BigUint{424242}, rng);
-  EXPECT_EQ(kp.prv.decrypt(ct), BigUint{424242});
-  const he::Ciphertext re = kp.pub.rerandomize(ct, rng);
-  EXPECT_NE(re, ct);
-  EXPECT_EQ(kp.prv.decrypt(re), BigUint{424242});
 }
 
 TEST(BatchPaillier, KeyHolderCrtBatchesMatchSerialPublicPath) {
@@ -293,7 +192,6 @@ TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{7}}) {
     core::SecureConfig cfg;
     cfg.key_bits = 256;
-    cfg.use_fixed_base = true;  // table + threads together
     cfg.encrypt_threads = threads;
     bigint::Xoshiro256ss rng(2024);
     core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, cfg, dists.size(), rng);
@@ -304,26 +202,9 @@ TEST(SecureSessionRuntime, EncryptThreadsOneTwoSevenAgree) {
       EXPECT_EQ(outcome.overall_registry, reference) << "threads=" << threads;
     }
   }
-}
-
-TEST(SecureSessionRuntime, DefaultFixedBaseOffStillAgreesWithPlaintext) {
-  data::PartitionConfig pcfg;
-  pcfg.num_classes = 10;
-  pcfg.num_clients = 8;
-  pcfg.samples_per_client = 64;
-  pcfg.rho = 5;
-  pcfg.emd_avg = 1.2;
-  pcfg.seed = 4;
-  const auto dists = data::make_partition(pcfg).client_dists;
-  const core::RegistryCodec codec(10, {1, 2, 10});
-
-  core::SecureConfig cfg;  // use_fixed_base stays at its default (off)
-  cfg.key_bits = 256;
-  bigint::Xoshiro256ss rng(2025);
-  core::SecureSelectionSession session(codec, {0.7, 0.1, 0.0}, cfg, dists.size(), rng);
-  const auto outcome = session.run_registration(dists);
+  // The decrypted registry counts each client exactly once.
   std::uint64_t total = 0;
-  for (const auto v : outcome.overall_registry) total += v;
+  for (const auto v : reference) total += v;
   EXPECT_EQ(total, dists.size());
 }
 

@@ -10,9 +10,9 @@
 # selftest) and the whole suite again under DUBHE_CPU=portable (slice-by-8
 # CRC, scalar GEMM, poll(2) backend — the no-capability tier). Data races
 # are a separate tool's job: a final ThreadSanitizer pass builds the
-# thread-invariance and transport suites (test_parallel_crypto +
-# test_tensor_simd + test_net_wire + test_net_round + test_net_faults +
-# test_net_shard + test_telemetry) under the `tsan` preset and runs them, so
+# thread-invariance and transport suites (ctest label `tsan`, build target
+# `tsan_suites`; CMakeLists.txt lists them) under the `tsan` preset and
+# runs them, so
 # a racy edit to the pool, the compute kernels, the TCP event loop, the
 # session engine (flat sessions run the shard slice too), the
 # quarantine/deadline machinery, or the sharded telemetry counters fails
@@ -71,12 +71,7 @@ run_preset asan "$@"
 
 echo "== thread-invariance under TSan =="
 cmake --preset tsan "$@"
-cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" \
-  --target test_parallel_crypto --target test_tensor_simd \
-  --target test_net_wire --target test_net_round --target test_net_faults \
-  --target test_net_shard --target test_telemetry
-ctest --preset tsan \
-  -R "test_parallel_crypto|test_tensor_simd|test_net_wire|test_net_round|test_net_faults|test_net_shard|test_telemetry" \
-  --no-tests=error --timeout "$CTEST_TIMEOUT"
+cmake --build --preset tsan -j "$(nproc 2>/dev/null || echo 4)" --target tsan_suites
+ctest --preset tsan -L tsan --no-tests=error --timeout "$CTEST_TIMEOUT"
 
 echo "CI OK"
